@@ -70,9 +70,8 @@ def svd(x) -> SvdFactors:
     return SvdFactors(U=u, S=s, V=v)
 
 
-def _shrink_factors(x: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Soft-threshold the singular values of x by tau; also return the
-    thresholded values (the singular values of the result)."""
+def _dense_shrink(x: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_shrink_factors` through a full `gesdd`: exact at any tau."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     s2 = s - tau
     np.clip(s2, 0.0, None, out=s2)
@@ -80,6 +79,42 @@ def _shrink_factors(x: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
         # exact zero matrix, not a round-tripped near-zero
         return np.zeros_like(x), s2
     return (u * s2) @ vt, s2
+
+
+def _shrink_factors(x: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Soft-threshold the singular values of x by tau; also return the
+    thresholded values (the singular values of the result), nonincreasing and
+    padded with zeros to min(m, n).
+
+    Works from the eigendecomposition of the smaller Gram matrix of x / c,
+    c = max |x_ij| (the scaling keeps the Gram matrix clear of overflow and
+    underflow). Only the eigenpairs with sigma_i > tau enter the result, and
+    the projector V V^T does not depend on eigenvector signs. The Gram route
+    resolves sigma_i^2 to about eps * sigma_1^2, so the result is accurate to
+    about eps * sigma_1 / tau relative to sigma_1; below tau = 1e-6 * sigma_1
+    (tau = 0 included) the dense SVD is used instead.
+    """
+    m, n = x.shape
+    q = min(m, n)
+    c = float(np.max(np.abs(x)))
+    if c == 0.0:
+        return np.zeros_like(x), np.zeros(q)
+    xs = x / c
+    t = tau / c
+    wide = m < n
+    w, v = np.linalg.eigh(xs @ xs.T if wide else xs.T @ xs)
+    if t * t < 1e-12 * w[-1]:
+        return _dense_shrink(x, tau)
+    j = int(np.searchsorted(w, t * t, side="right"))
+    s2 = np.zeros(q)
+    if j == w.size:
+        return np.zeros_like(x), s2
+    sig = np.sqrt(w[j:])
+    v = v[:, j:]
+    f = c * (1.0 - t / sig)
+    out = (v * f) @ (v.T @ xs) if wide else ((xs @ v) * f) @ v.T
+    s2[:sig.size] = (c * (sig - t))[::-1]
+    return out, s2
 
 
 def shrink(x, tau: float) -> np.ndarray:

@@ -375,15 +375,13 @@ def solve_with_rank(a: LinearMap, b, r: int, inner: str = "admm",
     pair from the current iterate with an inner solve until the squared
     relative change across refits drops below outer_tol. r = 0 is the plain
     nuclear-norm model: its pair does not depend on the iterate, so a single
-    inner solve suffices.
+    inner solve suffices and its trace, convergence flag included, is returned.
     """
     cfg = cfg or SolverConfig()
     b = _as_measurement(b, a.p)
     m, n = a.shape
     if r == 0:
-        x, trace = _run_inner(inner, a, b, TruncationPair.empty(m, n), cfg)
-        trace.converged = True
-        return x, trace
+        return _run_inner(inner, a, b, TruncationPair.empty(m, n), cfg)
     data = _data_matrix(a, b)
     denom = float(b @ b) or 1.0
     stage_trace = StageTrace(rank=int(r))
@@ -410,13 +408,15 @@ def lrisd(a: LinearMap, b, inner: str = "admm", sve_cfg: SveConfig | None = None
     solves the corresponding fixed-rank model. The outer loop ends when
     consecutive rank estimates agree (sve_cfg.stability of them) or max_outer
     stages have run. sve_cfg.max_outer = 0 yields the nuclear-norm baseline
-    through the same code path.
+    through the same code path, and so does a shape with min(m, n) < 3.
     """
     sve_cfg = sve_cfg or SveConfig()
     cfg = cfg or SolverConfig()
     b = _as_measurement(b, a.p)
     m, n = a.shape
-    kappa = sve_cfg.resolve_kappa(m, n) if sve_cfg.max_outer > 0 else None
+    # fewer than 3 singular values hold no jump to detect: keep stage 0
+    max_outer = sve_cfg.max_outer if min(m, n) >= 3 else 0
+    kappa = sve_cfg.resolve_kappa(m, n) if max_outer > 0 else None
 
     def solve(r, stage):
         try:
@@ -429,7 +429,7 @@ def lrisd(a: LinearMap, b, inner: str = "admm", sve_cfg: SveConfig | None = None
     t0.stage = 0
     traces = [t0]
     estimates: list[int] = []
-    for stage in range(1, sve_cfg.max_outer + 1):
+    for stage in range(1, max_outer + 1):
         spectrum = np.linalg.svd(x_re, compute_uv=False)
         profile = estimate_rank(spectrum, kappa)
         estimates.append(profile.r_hat)

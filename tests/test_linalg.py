@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnnr.linalg import (
     TruncationPair,
+    _shrink_factors,
     nuclear_norm,
     shrink,
     svd,
@@ -94,6 +97,103 @@ class TestShrink:
             tau = rng.uniform(0.1, 3.0)
             lhs = np.linalg.norm(shrink(a, tau) - shrink(b, tau), "fro")
             assert lhs <= np.linalg.norm(a - b, "fro") + 1e-12
+
+
+def dense_shrink_reference(x, tau):
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    s2 = np.maximum(s - tau, 0.0)
+    return (u * s2) @ vt, s2
+
+
+def rel_diff(got, ref, base):
+    """||got - ref|| / ||base|| with both norms taken after scaling by
+    max |base|, so that inputs near 1e160 do not overflow."""
+    c = np.abs(base).max()
+    return np.linalg.norm((got - ref) / c) / np.linalg.norm(base / c)
+
+
+def assert_close_or_zero(got, ref, what):
+    if not ref.any():
+        assert np.all(got == 0.0), f"{what}: expected exact zeros"
+    else:
+        err = rel_diff(got, ref, ref)
+        assert err <= 1e-10, f"{what}: relative error {err:.2e}"
+
+
+def assert_matches_dense(x, tau, what=""):
+    ref_out, ref_vals = dense_shrink_reference(x, tau)
+    out, vals = _shrink_factors(x, tau)
+    assert out.shape == x.shape and vals.shape == (min(x.shape),)
+    assert np.all(np.diff(vals) <= 0) and np.all(vals >= 0)
+    assert_close_or_zero(out, ref_out, f"{what} matrix")
+    assert_close_or_zero(vals, ref_vals, f"{what} values")
+    assert_close_or_zero(shrink(x, tau), ref_out, f"{what} shrink")
+
+
+def shrink_input(kind, shape, rng):
+    m, n = shape
+    q = min(m, n)
+    if kind == "zero":
+        return np.zeros(shape)
+    if kind == "full":
+        return rng.standard_normal(shape)
+    if kind == "rank_deficient":
+        r = max(q - 2, 1)
+        return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    # repeated singular values: a triple at the top, a pair at the bottom
+    u, _ = np.linalg.qr(rng.standard_normal((m, q)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, q)))
+    s = np.linspace(3.0, 1.0, q)
+    s[:3] = 3.0
+    if q > 4:
+        s[-2:] = 1.0
+    return (u * s) @ v.T
+
+
+class TestShrinkMatchesDenseSvd:
+    """The Gram-eigendecomposition shrink against a dense SVD computed here."""
+
+    @pytest.mark.parametrize("shape", [(7, 4), (4, 7), (6, 6), (1, 6), (6, 1)])
+    @pytest.mark.parametrize("kind", ["full", "rank_deficient", "zero", "repeated"])
+    def test_equivalence(self, shape, kind):
+        rng = np.random.default_rng(20)
+        base = shrink_input(kind, shape, rng)
+        s1 = float(np.linalg.norm(base, 2))
+        for scale in (1.0, 1e-150, 1e150, 1e-160, 1e160):
+            x = base * scale
+            # tau = 0, tau > sigma_1, a mid-spectrum tau, and the two small
+            # ratios; 1e-7 lies below the 1e-6 switch to the dense SVD
+            for rel in (0.0, 1.5, 0.5, 1e-3, 1e-7):
+                tau = rel * s1 * scale
+                assert_matches_dense(x, tau, f"{kind} {shape} tau/s1={rel} scale={scale:g}")
+            if kind != "zero":
+                # tau = sigma_1 is a tie: both routes leave only rounding,
+                # so compare the result with the input instead
+                out, vals = _shrink_factors(x, s1 * scale)
+                assert rel_diff(out, 0.0, x) <= 1e-10
+                assert rel_diff(vals, 0.0, np.linalg.svd(x, compute_uv=False)) <= 1e-10
+
+    def test_tau_equal_to_an_interior_singular_value(self):
+        # singular values 3, 3, 3, 2, 5/3, 1, 1: tau hits a simple value and
+        # the repeated pair at the bottom
+        x = shrink_input("repeated", (9, 7), np.random.default_rng(21))
+        assert_matches_dense(x, 2.0)
+        assert_matches_dense(x, 1.0)
+
+    # tau near sigma_1 leaves a result of size sigma_1 - tau made of rounding
+    # on either route, so log10(tau / sigma_1) keeps 1e-3 away from the tie
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 12), n=st.integers(1, 12), rank=st.integers(0, 12),
+           seed=st.integers(0, 2**32 - 1),
+           log_rel=st.one_of(st.none(), st.floats(-8.0, 0.3).filter(lambda u: abs(u) > 1e-3)),
+           log_scale=st.floats(-150.0, 150.0))
+    def test_property_random_shapes_and_tau(self, m, n, rank, seed, log_rel, log_scale):
+        rng = np.random.default_rng(seed)
+        r = min(rank, m, n)
+        x = rng.standard_normal((m, r)) @ rng.standard_normal((r, n)) * 10.0 ** log_scale
+        s1 = float(np.linalg.norm(x, 2))
+        tau = 0.0 if log_rel is None else s1 * 10.0 ** log_rel
+        assert_matches_dense(x, tau)
 
 
 class TestTruncatedNuclearNorm:

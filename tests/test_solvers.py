@@ -373,6 +373,26 @@ class TestLrisd:
         with pytest.raises(ValueError, match="inner solver"):
             lrisd(a, b, inner="sgd")
 
+    @pytest.mark.parametrize("shape", [(2, 6), (6, 2), (1, 5)])
+    def test_fewer_than_three_singular_values_keeps_stage_zero(self, shape):
+        # no spectrum jump can be detected, so the baseline recovery stands
+        m, n = shape
+        rng = np.random.default_rng(15)
+        flat = np.sort(rng.choice(m * n, size=m * n - 1, replace=False))
+        a = SamplingMask(m, n, flat // n, flat % n)
+        b = rng.standard_normal(a.p)
+        x, traces = lrisd(a, b)
+        x0, _ = solve_with_rank(a, b, 0)
+        assert len(traces) == 1 and traces[0].rank == 0 and traces[0].stage == 0
+        assert np.array_equal(x, x0)
+
+    @pytest.mark.parametrize("inner", ["admm", "apgl", "admmap"])
+    def test_rank_zero_reports_capped_solve(self, inner):
+        _, a, b = instance(12, 12, 2, 0.7, 0.0, 16)
+        _, trace = solve_with_rank(a, b, 0, inner, SolverConfig(max_inner_iters=1))
+        assert trace.total_inner_iters == 1
+        assert trace.converged is False
+
     def test_trace_rows_shape(self):
         x_star, a, b = instance(12, 12, 2, 0.7, 0.0, 14)
         _, traces = lrisd(a, b)
