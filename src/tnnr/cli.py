@@ -4,12 +4,15 @@ estimation traces, and baseline-vs-multistage comparisons.
 Every run writes its resolved configuration, the operator index file, a
 metrics CSV (one row per seed and method), a per-iteration trace CSV and a
 rank-estimation profile CSV into the output directory. CSV outputs are
-byte-identical across re-runs with the same configuration; wall-clock
-timings go to a separate timings.csv that is exempt from that guarantee.
+byte-identical across re-runs with the same configuration and thread
+settings; wall-clock timings go to a separate timings.csv that is exempt
+from that guarantee.
 """
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import os
 import sys
 import time
@@ -188,8 +191,56 @@ def _write_csv(path, header, rows) -> None:
 
 def _worker_count(trials: int) -> int:
     cap = os.environ.get("LOWRANK_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
+    try:
+        limit = int(cap) if cap else (os.cpu_count() or 1)
+    except ValueError:
+        raise ValueError(f"LOWRANK_THREADS must be an integer, got {cap!r}") from None
     return max(1, min(trials, limit))
+
+
+_OPENBLAS_THREAD_CONTROLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy.linalg
+    loaded, or None when that library exports neither known pair. dlsym on
+    the extension module's handle searches the libraries it links."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_CONTROLS:
+        get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads_shared(workers: int):
+    """While `workers` > 1 trials run side by side, cap numpy's OpenBLAS at
+    max(1, n // workers) threads, n being its count on entry, so that the
+    workers' BLAS threads do not outnumber the ones a single solve would use.
+    n is restored on exit, also when a trial raises. The count is
+    process-wide, so pools started from several threads at once would
+    restore each other's counts."""
+    controls = _openblas_thread_controls() if workers > 1 else None
+    if controls is None:
+        yield
+        return
+    get, put = controls
+    n = get()
+    put(max(1, n // workers))
+    try:
+        yield
+    finally:
+        put(n)
 
 
 def _solver_config(cfg: ExperimentConfig, delta: float) -> SolverConfig:
@@ -254,23 +305,24 @@ def _synthetic_trial(cfg: ExperimentConfig, seed: int):
         methods.append("lrisd-adjust")
 
     metrics, trace_rows, sve_rows, timings = [], [], [], []
-    lrisd_x = lrisd_rank = None
+    lrisd_rank = 0
     for method in methods:
         start = time.perf_counter()
         if method == "lr":
             x, traces = lrisd(a, b, cfg.solver, _sve_config(cfg, baseline=True), solver_cfg)
         elif method == "lrisd":
             x, traces = lrisd(a, b, cfg.solver, _sve_config(cfg), solver_cfg)
-            lrisd_x, lrisd_rank = x, _recovered_rank(x, kappa)
         else:
-            noisy_rank = lrisd_rank if lrisd_rank is not None else 0
-            x, traces = _adjust_sweep(a, b, noisy_rank, cfg, solver_cfg,
+            x, traces = _adjust_sweep(a, b, lrisd_rank, cfg, solver_cfg,
                                       score=lambda xc: -relative_error(xc, x_star))
         elapsed = time.perf_counter() - start
+        rank = _recovered_rank(x, kappa)
+        if method == "lrisd":
+            lrisd_rank = rank  # the centre of the adjust window, which runs next
         reer = relative_error(x, x_star)
         metrics.append((cfg.command, seed, method, cfg.operator, cfg.solver,
                         cfg.m, cfg.n, cfg.rank, cfg.sr, cfg.std, kappa, delta,
-                        cfg.mu, _recovered_rank(x, kappa), len(traces),
+                        cfg.mu, rank, len(traces),
                         sum(t.total_inner_iters for t in traces), reer,
                         None, None, None, None))
         trace_rows.extend(_trace_rows(seed, method, traces))
@@ -297,7 +349,8 @@ def _adjust_sweep(a, b, r_center, cfg, solver_cfg, score):
 
 def _run_synthetic(cfg: ExperimentConfig, out: Path) -> None:
     seeds = [cfg.seed + i for i in range(cfg.trials)]
-    with ThreadPoolExecutor(max_workers=_worker_count(cfg.trials)) as pool:
+    workers = _worker_count(cfg.trials)
+    with _blas_threads_shared(workers), ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(lambda s: _synthetic_trial(cfg, s), seeds))
     metrics, traces, sves, timings = [], [], [], []
     for m, t, s, w in results:
@@ -384,13 +437,14 @@ def _image_trial(cfg: ExperimentConfig, channels, seed: int, out: Path):
                 x, traces = lrisd(a, b, cfg.solver, _sve_config(cfg, baseline=True), solver_cfg)
             elif method == "lrisd":
                 x, traces = lrisd(a, b, cfg.solver, _sve_config(cfg), solver_cfg)
-                lrisd_ranks[ci] = _recovered_rank(x, kappa)
             else:
                 x, traces = _adjust_sweep(
                     a, b, lrisd_ranks.get(ci, 0), cfg, solver_cfg,
                     score=lambda xc: psnr(np.clip(xc, 0, 255), channel, eval_mask).psnr_db)
             recovered.append(np.clip(x, 0.0, 255.0))
             ranks.append(_recovered_rank(x, kappa))
+            if method == "lrisd":
+                lrisd_ranks[ci] = ranks[-1]
             stages = max(stages, len(traces))
             iters += sum(t.total_inner_iters for t in traces)
             all_traces.extend(_trace_rows(seed, method, traces))

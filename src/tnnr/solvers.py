@@ -373,7 +373,9 @@ def solve_with_rank(a: LinearMap, b, r: int, inner: str = "admm",
 
     Starting from the matrix form of b, alternates extracting the truncation
     pair from the current iterate with an inner solve until the squared
-    relative change across refits drops below outer_tol. r = 0 is the plain
+    relative change across refits drops below outer_tol. The stage counts as
+    converged only if, in addition, its last inner solve converged: a capped
+    inner solve can pass the outer test by barely moving. r = 0 is the plain
     nuclear-norm model: its pair does not depend on the iterate, so a single
     inner solve suffices and its trace, convergence flag included, is returned.
     """
@@ -394,7 +396,7 @@ def solve_with_rank(a: LinearMap, b, r: int, inner: str = "admm",
         stage_trace.l_change.append(change)
         x_l = x_next
         if change <= cfg.outer_tol:
-            stage_trace.converged = True
+            stage_trace.converged = t.converged
             break
     return x_l, stage_trace
 

@@ -267,6 +267,22 @@ class TestWorkerCount:
         monkeypatch.delenv("LOWRANK_THREADS")
         assert _worker_count(3) <= 3
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_cap_means_one_worker(self, monkeypatch, value):
+        from tnnr.cli import _worker_count
+        monkeypatch.setenv("LOWRANK_THREADS", value)
+        assert _worker_count(4) == 1
+
+    def test_non_integer_cap_names_the_variable(self, monkeypatch, tmp_path, capsys):
+        from tnnr.cli import _worker_count
+        monkeypatch.setenv("LOWRANK_THREADS", "abc")
+        with pytest.raises(ValueError, match="LOWRANK_THREADS.*'abc'"):
+            _worker_count(4)
+        code = main(["compare", "--m", "10", "--n", "10", "--rank", "1",
+                     "--trials", "2", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "LOWRANK_THREADS" in capsys.readouterr().err
+
     def test_run_under_thread_cap(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LOWRANK_THREADS", "1")
         out = tmp_path / "serial"
@@ -314,3 +330,112 @@ class TestMainEntry:
                      "--sr", "0.8", "--trials", "1", "--out", str(tmp_path / "x")])
         assert code == 1
         assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread controls; the count found is put back after."""
+    from tnnr.cli import _openblas_thread_controls
+    controls = _openblas_thread_controls()
+    if controls is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread controls")
+    get, put = controls
+    found = get()
+    yield get, put
+    put(found)
+
+
+class TestBlasThreadCap:
+    """The trial pool caps numpy's BLAS threads at max(1, n // workers)."""
+
+    @staticmethod
+    def run_recording(monkeypatch, tmp_path, get, workers, trials, fail_seed=None):
+        seen = []
+
+        def trial(cfg, seed):
+            seen.append(get())
+            if seed == fail_seed:
+                raise RuntimeError(f"trial {seed} failed")
+            return [], [], [], []
+
+        monkeypatch.setattr("tnnr.cli._synthetic_trial", trial)
+        monkeypatch.setenv("LOWRANK_THREADS", str(workers))
+        cfg = ExperimentConfig(command="compare", m=8, n=8, rank=1, trials=trials,
+                               seed=0, out=str(tmp_path / "stub"))
+        assert run(cfg) == 0
+        return seen
+
+    @pytest.mark.parametrize("n, workers, cap", [(2, 2, 1), (4, 2, 2), (5, 2, 2), (4, 3, 1)])
+    def test_cap_inside_pool_and_restored_after(self, blas_threads, monkeypatch, tmp_path,
+                                                n, workers, cap):
+        get, put = blas_threads
+        put(n)
+        assert get() == n
+        seen = self.run_recording(monkeypatch, tmp_path, get, workers, trials=2 * workers)
+        assert seen == [cap] * (2 * workers)
+        assert get() == n
+
+    def test_restored_when_a_trial_raises(self, blas_threads, monkeypatch, tmp_path):
+        get, put = blas_threads
+        put(4)
+        with pytest.raises(RuntimeError, match="trial 1 failed"):
+            self.run_recording(monkeypatch, tmp_path, get, workers=2, trials=4, fail_seed=1)
+        assert get() == 4
+
+    @pytest.mark.parametrize("workers, trials", [(1, 3), (2, 1)])
+    def test_one_worker_leaves_count_alone(self, blas_threads, monkeypatch, tmp_path,
+                                           workers, trials):
+        get, put = blas_threads
+        put(4)
+        seen = self.run_recording(monkeypatch, tmp_path, get, workers, trials)
+        assert seen == [4] * trials
+        assert get() == 4
+
+    def test_missing_controls_keep_the_pool(self, blas_threads, monkeypatch, tmp_path):
+        get, put = blas_threads
+        put(4)
+        monkeypatch.setattr("tnnr.cli._openblas_thread_controls", lambda: None)
+        seen = self.run_recording(monkeypatch, tmp_path, get, workers=2, trials=4)
+        assert seen == [4] * 4
+
+
+def _csv_cells(path):
+    with open(path, newline="") as f:
+        return [cell for row in csv.reader(f) for cell in row]
+
+
+def _assert_cells_agree(left, right, rtol=1e-9):
+    """Integer and string cells identical, float cells within rtol relative."""
+    assert len(left) == len(right)
+    for x, y in zip(left, right):
+        try:
+            fx, fy = float(x), float(y)
+        except ValueError:
+            assert x == y
+            continue
+        if x.lstrip("-").isdigit() or y.lstrip("-").isdigit():
+            assert x == y
+        else:
+            assert abs(fx - fy) <= rtol * max(abs(fx), abs(fy)), (x, y)
+
+
+class TestPooledCompareMatchesSerial:
+    CSVS = ("metrics.csv", "trace.csv", "sve.csv", "summary.csv")
+
+    @staticmethod
+    def compare(monkeypatch, out, workers):
+        monkeypatch.setenv("LOWRANK_THREADS", str(workers))
+        code = main(["compare", "--operator", "dct", "--m", "30", "--n", "30",
+                     "--rank", "2", "--sr", "0.6", "--std", "0.3", "--trials", "2",
+                     "--seed", "5", "--inner-tol", "1e-3", "--max-inner-iters", "300",
+                     "--out", str(out)])
+        assert code == 0
+        return out
+
+    def test_pool_agrees_with_one_worker_and_reruns_identically(self, monkeypatch, tmp_path):
+        pooled = self.compare(monkeypatch, tmp_path / "pooled", 2)
+        serial = self.compare(monkeypatch, tmp_path / "serial", 1)
+        again = self.compare(monkeypatch, tmp_path / "again", 2)
+        for name in self.CSVS:
+            _assert_cells_agree(_csv_cells(pooled / name), _csv_cells(serial / name))
+            assert (pooled / name).read_bytes() == (again / name).read_bytes()

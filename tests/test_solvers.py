@@ -393,6 +393,16 @@ class TestLrisd:
         assert trace.total_inner_iters == 1
         assert trace.converged is False
 
+    @pytest.mark.parametrize("inner", ["admm", "apgl", "admmap"])
+    def test_capped_refits_do_not_report_convergence(self, inner):
+        # every refit restarts from the data and stops after one iteration, so
+        # consecutive refits barely differ and pass the outer test
+        _, a, b = instance(12, 12, 2, 0.7, 0.0, 16)
+        _, trace = solve_with_rank(a, b, 2, inner, SolverConfig(max_inner_iters=1))
+        assert trace.inner_iters and set(trace.inner_iters) == {1}
+        assert trace.l_change[-1] <= SolverConfig().outer_tol
+        assert trace.converged is False
+
     def test_trace_rows_shape(self):
         x_star, a, b = instance(12, 12, 2, 0.7, 0.0, 14)
         _, traces = lrisd(a, b)
