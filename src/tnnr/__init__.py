@@ -2,11 +2,9 @@
 nuclear norm regularization, with automatic truncation-rank estimation."""
 
 from .linalg import (
-    SvdFactors,
     TruncationPair,
     nuclear_norm,
     shrink,
-    svd,
     truncated_nuclear_norm,
     truncation_pair,
 )
@@ -14,7 +12,6 @@ from .operators import (
     LinearMap,
     PartialDct2D,
     SamplingMask,
-    inverse_identity_check,
     project_ball,
 )
 from .sve import SveConfig, SveProfile, default_kappa, estimate_rank
@@ -24,8 +21,6 @@ from .solvers import (
     StageTrace,
     lrisd,
     objective,
-    q_adjoint,
-    q_apply,
     solve_with_rank,
     tnnr_admm,
     tnnr_admmap,

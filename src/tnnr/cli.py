@@ -16,6 +16,7 @@ import ctypes
 import os
 import sys
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -133,7 +134,7 @@ class ExperimentConfig:
             if key not in types:
                 raise ValueError(f"config file {path} line {lineno}: unknown field '{key}'")
             try:
-                kwargs[key] = _coerce(key, value)
+                kwargs[key] = _coerce(types[key], value)
             except ValueError as e:
                 raise ValueError(f"config file {path} line {lineno}, field '{key}': {e}") from e
         return cls(**kwargs)
@@ -147,25 +148,17 @@ class ExperimentConfig:
                 f.write(f"{fld.name} = {value}\n")
 
 
-_INT_FIELDS = {"m", "n", "rank", "max_outer", "stability", "max_inner_iters",
-               "max_refit_iters", "trials", "seed", "adjust"}
-_FLOAT_FIELDS = {"sr", "std", "kappa", "kappa_s", "delta", "mu", "beta",
-                 "inner_tol", "outer_tol"}
-_BOOL_FIELDS = {"keep_dc"}
-
-
-def _coerce(key: str, value: str):
-    if key in _INT_FIELDS:
-        return int(value)
-    if key in _FLOAT_FIELDS:
-        return float(value)
-    if key in _BOOL_FIELDS:
+def _coerce(annotation, value: str):
+    """Parse a config value as its field's annotated type (int, float, bool
+    or str, optionally `| None`)."""
+    kind = next((t for t in typing.get_args(annotation) if t is not type(None)), annotation)
+    if kind is bool:
         if value.lower() in ("true", "1", "yes"):
             return True
         if value.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"expected a boolean, got {value!r}")
-    return value
+    return kind(value)
 
 
 # ---- shared machinery ----------------------------------------------------
@@ -187,6 +180,15 @@ def _write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _metrics_row(**values) -> dict:
+    """A metrics.csv row by column name; the columns not given stay empty."""
+    return dict(dict.fromkeys(METRICS_COLUMNS), **values)
+
+
+def _write_metrics(path, rows) -> None:
+    _write_csv(path, METRICS_COLUMNS, ([row[c] for c in METRICS_COLUMNS] for row in rows))
 
 
 def _worker_count(trials: int) -> int:
@@ -319,12 +321,12 @@ def _synthetic_trial(cfg: ExperimentConfig, seed: int):
         rank = _recovered_rank(x, kappa)
         if method == "lrisd":
             lrisd_rank = rank  # the centre of the adjust window, which runs next
-        reer = relative_error(x, x_star)
-        metrics.append((cfg.command, seed, method, cfg.operator, cfg.solver,
-                        cfg.m, cfg.n, cfg.rank, cfg.sr, cfg.std, kappa, delta,
-                        cfg.mu, rank, len(traces),
-                        sum(t.total_inner_iters for t in traces), reer,
-                        None, None, None, None))
+        metrics.append(_metrics_row(
+            experiment=cfg.command, seed=seed, method=method, operator=cfg.operator,
+            solver=cfg.solver, m=cfg.m, n=cfg.n, true_r=cfg.rank, sr=cfg.sr, std=cfg.std,
+            kappa=kappa, delta=delta, mu=cfg.mu, rank_recovered=rank, stages=len(traces),
+            inner_iters=sum(t.total_inner_iters for t in traces),
+            reer=relative_error(x, x_star)))
         trace_rows.extend(_trace_rows(seed, method, traces))
         sve_rows.extend(_sve_rows(seed, method, traces))
         timings.append((cfg.command, seed, method, elapsed))
@@ -359,11 +361,11 @@ def _run_synthetic(cfg: ExperimentConfig, out: Path) -> None:
         sves.extend(s)
         timings.extend(w)
     order = {"lr": 0, "lrisd": 1, "lrisd-adjust": 2}
-    metrics.sort(key=lambda r: (r[1], order[r[2]]))
+    metrics.sort(key=lambda r: (r["seed"], order[r["method"]]))
     traces.sort(key=lambda r: (r[0], order[r[1]]))
     sves.sort(key=lambda r: (r[0], order[r[1]], r[2], r[5]))
     timings.sort(key=lambda r: (r[1], order[r[2]]))
-    _write_csv(out / "metrics.csv", METRICS_COLUMNS, metrics)
+    _write_metrics(out / "metrics.csv", metrics)
     _write_csv(out / "trace.csv", TRACE_COLUMNS, traces)
     _write_csv(out / "sve.csv", SVE_COLUMNS, sves)
     _write_csv(out / "timings.csv", ("experiment", "seed", "method", "seconds"), timings)
@@ -371,21 +373,21 @@ def _run_synthetic(cfg: ExperimentConfig, out: Path) -> None:
     if cfg.command == "compare":
         by_method = {}
         for row in metrics:
-            by_method.setdefault(row[2], []).append(row)
+            by_method.setdefault(row["method"], []).append(row)
         summary = []
         for method in sorted(by_method, key=lambda m: order[m]):
             rows = by_method[method]
-            median_reer = float(np.median([r[16] for r in rows]))
-            rank_hits = sum(1 for r in rows if r[13] == cfg.rank)
+            median_reer = float(np.median([r["reer"] for r in rows]))
+            rank_hits = sum(1 for r in rows if r["rank_recovered"] == cfg.rank)
             summary.append((method, len(rows), median_reer, rank_hits))
         _write_csv(out / "summary.csv",
                    ("method", "trials", "median_reer", "rank_hits"), summary)
 
     if cfg.command == "sve-trace":
-        final = [r for r in metrics if r[2] == "lrisd"]
+        final = [r for r in metrics if r["method"] == "lrisd"]
         for row in final:
-            print(f"seed {row[1]}: estimated rank {row[13]} "
-                  f"(true rank {cfg.rank}, kappa {row[10]:.6g})")
+            print(f"seed {row['seed']}: estimated rank {row['rank_recovered']} "
+                  f"(true rank {cfg.rank}, kappa {row['kappa']:.6g})")
 
 
 # ---- image completion ----------------------------------------------------
@@ -452,11 +454,12 @@ def _image_trial(cfg: ExperimentConfig, channels, seed: int, out: Path):
         elapsed = time.perf_counter() - start
         report = psnr(recovered if len(recovered) > 1 else recovered[0],
                       channels if len(channels) > 1 else channels[0], eval_mask)
-        reer = relative_error(np.hstack(recovered), np.hstack(channels))
-        metrics.append((cfg.command, seed, method, cfg.operator, cfg.solver,
-                        m, n, None, cfg.sr, cfg.std, kappa, delta, cfg.mu,
-                        int(np.median(ranks)), stages, iters, reer,
-                        report.psnr_db, report.se, report.mse, report.t_count))
+        metrics.append(_metrics_row(
+            experiment=cfg.command, seed=seed, method=method, operator=cfg.operator,
+            solver=cfg.solver, m=m, n=n, sr=cfg.sr, std=cfg.std, kappa=kappa,
+            delta=delta, mu=cfg.mu, rank_recovered=int(np.median(ranks)), stages=stages,
+            inner_iters=iters, reer=relative_error(np.hstack(recovered), np.hstack(channels)),
+            psnr_db=report.psnr_db, se=report.se, mse=report.mse, t_count=report.t_count))
         trace_rows.extend(all_traces)
         timings.append((cfg.command, seed, method, elapsed))
         images[method] = recovered
@@ -482,12 +485,13 @@ def _run_complete(cfg: ExperimentConfig, out: Path) -> None:
         all_traces.extend(traces)
         all_sves.extend(sves)
         all_timings.extend(timings)
-    _write_csv(out / "metrics.csv", METRICS_COLUMNS, all_metrics)
+    _write_metrics(out / "metrics.csv", all_metrics)
     _write_csv(out / "trace.csv", TRACE_COLUMNS, all_traces)
     _write_csv(out / "sve.csv", SVE_COLUMNS, all_sves)
     _write_csv(out / "timings.csv", ("experiment", "seed", "method", "seconds"), all_timings)
     for row in all_metrics:
-        print(f"seed {row[1]} {row[2]}: PSNR {row[17]:.3f} dB over {row[20]} pixels")
+        print(f"seed {row['seed']} {row['method']}: PSNR {row['psnr_db']:.3f} dB "
+              f"over {row['t_count']} pixels")
 
 
 # ---- plot data -----------------------------------------------------------

@@ -6,10 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SvdFactors",
     "TruncationPair",
     "as_matrix",
-    "svd",
     "shrink",
     "nuclear_norm",
     "truncated_nuclear_norm",
@@ -29,45 +27,13 @@ def as_matrix(a) -> np.ndarray:
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
     """Flip singular-vector pairs in place so the largest-magnitude entry of
-    each left singular vector is nonnegative. Unpaired null-space columns are
-    flipped on their own. Makes the factorization deterministic up to ties."""
-    q = min(u.shape[1], v.shape[1])
-    for j in range(q):
+    each left singular vector is nonnegative. Makes the factorization
+    deterministic up to ties."""
+    for j in range(min(u.shape[1], v.shape[1])):
         i = int(np.argmax(np.abs(u[:, j])))
         if u[i, j] < 0:
             u[:, j] = -u[:, j]
             v[:, j] = -v[:, j]
-    for mat in (u, v):
-        for j in range(q, mat.shape[1]):
-            i = int(np.argmax(np.abs(mat[:, j])))
-            if mat[i, j] < 0:
-                mat[:, j] = -mat[:, j]
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """Full SVD X = U diag(S) V^T with U (m x m), S (min(m,n),), V (n x n)."""
-
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        q = self.S.size
-        return (self.U[:, :q] * self.S) @ self.V[:, :q].T
-
-
-def svd(x) -> SvdFactors:
-    """Full singular value decomposition with a fixed sign convention.
-
-    Raises a LinAlgError if the factorization backend fails to converge.
-    """
-    x = as_matrix(x)
-    u, s, vt = np.linalg.svd(x, full_matrices=True)
-    v = vt.T.copy()
-    u = u.copy()
-    _fix_signs(u, v)
-    return SvdFactors(U=u, S=s, V=v)
 
 
 def _dense_shrink(x: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:

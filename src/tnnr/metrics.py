@@ -12,15 +12,12 @@ PSNR_CAP_DB = 99.0
 
 @dataclass
 class MetricsReport:
-    """PSNR with its intermediates, plus slots the experiment harness fills
-    in (relative error, recovered rank)."""
+    """PSNR with its intermediates."""
 
     psnr_db: float
     se: float
     mse: float
     t_count: int
-    reer: float | None = None
-    rank_recovered: int | None = None
 
 
 def _as_channels(x) -> list[np.ndarray]:

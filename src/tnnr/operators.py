@@ -1,9 +1,8 @@
 """Tight-frame measurement operators: entry sampling masks and partial 2-D
-orthonormal DCTs, with the ball projection and inverse identity they enable.
+orthonormal DCTs, with the ball projection they enable.
 
 Both operator kinds satisfy A A* = I on measurement space, which gives the
-closed-form projection onto {X : ||A(X) - b|| <= delta} and the closed-form
-inverse of (I + alpha A* A) used by the solvers.
+closed-form projection onto {X : ||A(X) - b|| <= delta} used by the solvers.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ __all__ = [
     "SamplingMask",
     "PartialDct2D",
     "project_ball",
-    "inverse_identity_check",
 ]
 
 
@@ -232,17 +230,3 @@ def project_ball(a: LinearMap, y, b, delta: float) -> np.ndarray:
     if eta == 0:
         return y
     return y + (eta / (eta + 1.0)) * a.adjoint(resid)
-
-
-def inverse_identity_check(a: LinearMap, alpha: float, x) -> float:
-    """Residual of the closed-form inverse of (I + alpha A* A).
-
-    Returns ||(I - alpha/(1+alpha) A*A)((I + alpha A*A)(X)) - X||_F, which is
-    <= 1e-10 ||X||_F whenever A is a tight frame.
-    """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    x = a._check_domain(x)
-    z = x + alpha * a.adjoint(a.apply(x))
-    w = z - (alpha / (1.0 + alpha)) * a.adjoint(a.apply(z))
-    return float(np.linalg.norm(w - x, "fro"))

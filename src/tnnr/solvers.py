@@ -4,9 +4,11 @@ Three inner solvers handle the convex model with a fixed truncation pair
 (L, R): an ADMM splitting for the equality/ball-constrained models, an
 accelerated proximal gradient method for the penalized model, and a
 block-matrix ADMM with adaptive penalty that collapses the two constraints of
-the ADMM splitting into one. The multi-stage driver `lrisd` alternates rank
-estimation on the current recovery with inner solves until the estimated rank
-stabilizes.
+the ADMM splitting into one. Each inner solver is a generator of update
+steps run by one shared loop, `_iterate`, which keeps the trace and applies
+the divergence guard, the stop test and the iteration cap. The multi-stage
+driver `lrisd` alternates rank estimation on the current recovery with inner
+solves until the estimated rank stabilizes.
 """
 
 import math
@@ -25,8 +27,6 @@ __all__ = [
     "tnnr_admm",
     "tnnr_apgl",
     "tnnr_admmap",
-    "q_apply",
-    "q_adjoint",
     "objective",
     "solve_with_rank",
     "lrisd",
@@ -62,7 +62,6 @@ class SolverConfig:
     beta_max: float = 1e6
     rho0: float = 1.9
     eps_adapt: float = 1e-3
-    record_iterates: bool = False
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -103,9 +102,6 @@ class StageTrace:
     l_change: list = field(default_factory=list)
     converged: bool = False
     sve: SveProfile | None = None
-    iterates: list | None = None
-
-    CSV_HEADER = ("stage", "l", "k", "objective", "residual", "beta")
 
     def record(self, l: int, k: int, obj: float, resid: float, beta: float) -> None:
         self.l.append(l)
@@ -125,10 +121,6 @@ class StageTrace:
         for row in zip(other.k, other.objective, other.residual, other.beta):
             self.record(l, *row)
         self.inner_iters.append(len(other.k))
-        if other.iterates is not None:
-            if self.iterates is None:
-                self.iterates = []
-            self.iterates.extend(other.iterates)
 
     @property
     def total_inner_iters(self) -> int:
@@ -153,16 +145,57 @@ def momentum_step(tau: float) -> float:
     return (1.0 + math.sqrt(1.0 + 4.0 * tau * tau)) / 2.0
 
 
-def _data_matrix(a: LinearMap, b: np.ndarray) -> np.ndarray:
-    # the matrix form of b: for a mask this is the zero-filled scatter, for
-    # other tight frames the adjoint image plays the same role
-    return a.adjoint(b)
-
-
 def _check_divergence(obj: float, obj_ref: float, trace: StageTrace, name: str) -> None:
     if not np.isfinite(obj) or obj > 1e6 * max(obj_ref, 1.0):
         raise SolverDivergence(
             f"{name} diverged at iteration {len(trace.k)}: objective {obj:.3e}", trace)
+
+
+def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair, cfg: SolverConfig,
+             param: float) -> tuple[np.ndarray, StageTrace]:
+    """The iteration loop the three inner solvers share.
+
+    `steps(a, b, g, x0, cfg, param)` is a solver's step generator, started at
+    x0 = A*(b) with g = L^T R; it starts its other iterates from copies of
+    x0. (Sharing x0 would be as correct, but the changed heap layout made
+    glibc trim and refault the 300x300 temporaries of admm every iteration.) Once per iteration it yields the new X, its
+    thresholded singular values, the squared constraint gap (0 for a model
+    without one), the penalty in use and a dict of its other iterates. The
+    loop records the trace row, guards against divergence and stops once both
+    the squared relative X-change and the gap, each divided by ||b||^2, fall
+    below inner_tol, or at max_inner_iters. Returns the last X.
+    """
+    b = _as_measurement(b, a.p)
+    x = a.adjoint(b)
+    g = pair.correction()
+    denom = float(b @ b) or 1.0
+    trace = StageTrace(rank=pair.r)
+    obj_ref = None
+    iterations = zip(range(1, cfg.max_inner_iters + 1), steps(a, b, g, x, cfg, param))
+    for k, (x_new, s_shrunk, gap, beta, _) in iterations:
+        obj = float(s_shrunk.sum() - np.vdot(x_new, g))
+        resid = float(np.linalg.norm(a.apply(x_new) - b))
+        trace.record(1, k, obj, resid, beta)
+        if obj_ref is None:
+            obj_ref = obj
+        _check_divergence(obj, obj_ref, trace, name)
+        change = float(np.linalg.norm(x_new - x, "fro") ** 2) / denom
+        x = x_new
+        if change <= cfg.inner_tol and gap / denom <= cfg.inner_tol:
+            trace.converged = True
+            break
+    trace.inner_iters.append(trace.total_inner_iters)
+    return x, trace
+
+
+def _admm_steps(a, b, g, x, cfg, delta):
+    y, z = x.copy(), x.copy()
+    while True:
+        x_new, s_shrunk = _shrink_factors(y + z / cfg.beta, 1.0 / cfg.beta)
+        y = project_ball(a, x_new + (g - z) / cfg.beta, b, delta)
+        z = z - cfg.gamma * cfg.beta * (x_new - y)
+        gap = float(np.linalg.norm(x_new - y, "fro") ** 2)
+        yield x_new, s_shrunk, gap, cfg.beta, {"Y": y, "Z": z}
 
 
 def tnnr_admm(a: LinearMap, b, pair: TruncationPair, delta: float,
@@ -181,35 +214,20 @@ def tnnr_admm(a: LinearMap, b, pair: TruncationPair, delta: float,
     cfg = cfg or SolverConfig()
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    b = _as_measurement(b, a.p)
-    data = _data_matrix(a, b)
-    denom = float(b @ b) or 1.0
-    g = pair.correction()
-    x, y, z = data.copy(), data.copy(), data.copy()
-    trace = StageTrace(rank=pair.r)
-    if cfg.record_iterates:
-        trace.iterates = []
-    obj_ref = None
-    for k in range(1, cfg.max_inner_iters + 1):
-        x_new, s_shrunk = _shrink_factors(y + z / cfg.beta, 1.0 / cfg.beta)
-        y_new = project_ball(a, x_new + (g - z) / cfg.beta, b, delta)
-        z = z - cfg.gamma * cfg.beta * (x_new - y_new)
-        obj = float(s_shrunk.sum() - np.vdot(x_new, g))
-        resid = float(np.linalg.norm(a.apply(x_new) - b))
-        trace.record(1, k, obj, resid, cfg.beta)
-        if cfg.record_iterates:
-            trace.iterates.append({"X": x_new.copy(), "Y": y_new.copy(), "Z": z.copy()})
-        if obj_ref is None:
-            obj_ref = obj
-        _check_divergence(obj, obj_ref, trace, "tnnr_admm")
-        change = float(np.linalg.norm(x_new - x, "fro") ** 2) / denom
-        gap = float(np.linalg.norm(x_new - y_new, "fro") ** 2) / denom
-        x, y = x_new, y_new
-        if change <= cfg.inner_tol and gap <= cfg.inner_tol:
-            trace.converged = True
-            break
-    trace.inner_iters.append(trace.total_inner_iters)
+    x, trace = _iterate("tnnr_admm", _admm_steps, a, b, pair, cfg, delta)
     return project_ball(a, x, b, delta), trace
+
+
+def _apgl_steps(a, b, g, x, cfg, mu):
+    step = 1.0 / mu
+    y, tau = x.copy(), 1.0
+    while True:
+        grad = -g + mu * a.adjoint(a.apply(y) - b)
+        x_new, s_shrunk = _shrink_factors(y - step * grad, step)
+        tau_new = momentum_step(tau)
+        y = x_new + ((tau - 1.0) / tau_new) * (x_new - x)
+        yield x_new, s_shrunk, 0.0, mu, {"Y": y, "tau": tau_new}
+        x, tau = x_new, tau_new
 
 
 def tnnr_apgl(a: LinearMap, b, pair: TruncationPair, mu: float,
@@ -220,87 +238,18 @@ def tnnr_apgl(a: LinearMap, b, pair: TruncationPair, mu: float,
     The smooth part F(Y) = -Tr(L Y R^T) + (mu/2)||A(Y) - b||^2 has gradient
     -L^T R + mu A*(A(Y) - b) and Lipschitz constant mu for a tight frame, so
     the proximal step size is fixed at 1/mu while the momentum parameter
-    follows tau <- (1 + sqrt(1 + 4 tau^2)) / 2 from tau = 1.
+    follows tau <- (1 + sqrt(1 + 4 tau^2)) / 2 from tau = 1. Stops once the
+    squared relative X-change falls below inner_tol.
     """
     cfg = cfg or SolverConfig()
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    b = _as_measurement(b, a.p)
-    data = _data_matrix(a, b)
-    denom = float(b @ b) or 1.0
-    g = pair.correction()
-    step = 1.0 / mu
-    x = data.copy()
-    y = data.copy()
-    tau = 1.0
-    trace = StageTrace(rank=pair.r)
-    if cfg.record_iterates:
-        trace.iterates = []
-    obj_ref = None
-    for k in range(1, cfg.max_inner_iters + 1):
-        grad = -g + mu * a.adjoint(a.apply(y) - b)
-        x_new, s_shrunk = _shrink_factors(y - step * grad, step)
-        tau_new = momentum_step(tau)
-        y = x_new + ((tau - 1.0) / tau_new) * (x_new - x)
-        obj = float(s_shrunk.sum() - np.vdot(x_new, g))
-        resid = float(np.linalg.norm(a.apply(x_new) - b))
-        trace.record(1, k, obj, resid, mu)
-        if cfg.record_iterates:
-            trace.iterates.append({"X": x_new.copy(), "Y": y.copy(), "tau": tau_new})
-        if obj_ref is None:
-            obj_ref = obj
-        _check_divergence(obj, obj_ref, trace, "tnnr_apgl")
-        change = float(np.linalg.norm(x_new - x, "fro") ** 2) / denom
-        x, tau = x_new, tau_new
-        if change <= cfg.inner_tol:
-            trace.converged = True
-            break
-    trace.inner_iters.append(trace.total_inner_iters)
-    return x, trace
+    return _iterate("tnnr_apgl", _apgl_steps, a, b, pair, cfg, mu)
 
 
-def q_apply(y, a: LinearMap) -> np.ndarray:
-    """Block embedding Q(Y) = [[-Y, 0], [0, embed(A(Y))]] of size 2m x 2n."""
-    y = a._check_domain(y)
-    m, n = a.shape
-    w = np.zeros((2 * m, 2 * n))
-    w[:m, :n] = -y
-    w[m:, n:] = a.embed(a.apply(y))
-    return w
-
-
-def q_adjoint(w, a: LinearMap) -> np.ndarray:
-    """Adjoint of the block embedding: Q*(W) = -W11 + A*(extract(W22))."""
-    w = np.asarray(w, dtype=np.float64)
-    m, n = a.shape
-    if w.shape != (2 * m, 2 * n):
-        raise ValueError(f"expected block matrix of shape {(2 * m, 2 * n)}, got {w.shape}")
-    return -w[:m, :n] + a.adjoint(a.extract(w[m:, n:]))
-
-
-def tnnr_admmap(a: LinearMap, b, pair: TruncationPair, delta: float,
-                cfg: SolverConfig | None = None) -> tuple[np.ndarray, StageTrace]:
-    """Block-matrix ADMM with adaptive penalty for the constrained models.
-
-    The two constraints X = Y and A(Y) in the delta-ball around b are folded
-    into one block equation P(X) + Q(Y) = C, whose Y-subproblem normal
-    equation (I + A*A) Y = RHS is solved in closed form through the
-    tight-frame inverse identity. The multiplier block Z has only its (1,1)
-    and (2,2) blocks active; the slack xi (measurement space) is updated by
-    ball projection only when delta > 0 and stays identically zero for the
-    equality model. The penalty grows by rho0 whenever the scaled iterate
-    change drops below eps_adapt.
-    """
-    cfg = cfg or SolverConfig()
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    b = _as_measurement(b, a.p)
-    data = _data_matrix(a, b)
-    denom = float(b @ b) or 1.0
-    m, n = a.shape
-    g = pair.correction()
-    x, y = data.copy(), data.copy()
-    z11 = np.zeros((m, n))
+def _admmap_steps(a, b, g, x, cfg, delta):
+    y = x.copy()
+    z11 = np.zeros(a.shape)
     z22 = np.zeros(a.p)
     beta = cfg.beta
     if delta > 0:
@@ -309,13 +258,7 @@ def tnnr_admmap(a: LinearMap, b, pair: TruncationPair, delta: float,
         xi = v * (delta / nv) if nv > delta else v
     else:
         xi = np.zeros(a.p)
-    trace = StageTrace(rank=pair.r)
-    if cfg.record_iterates:
-        trace.iterates = []
-    obj_ref = None
-    for k in range(1, cfg.max_inner_iters + 1):
-        if cfg.record_iterates:
-            pre = {"z11": z11.copy(), "z22": z22.copy(), "xi": xi.copy(), "beta": beta}
+    while True:
         x_new, s_shrunk = _shrink_factors(y + z11 / beta, 1.0 / beta)
         # closed form for (I + A*A) Y = X + (L^T R - z11)/beta + A*(b + xi + z22/beta)
         h = g - z11
@@ -329,28 +272,36 @@ def tnnr_admmap(a: LinearMap, b, pair: TruncationPair, delta: float,
             zeta = ay - b - z22 / beta
             nz = float(np.linalg.norm(zeta))
             xi = zeta * (delta / nz) if nz > delta else zeta
-        obj = float(s_shrunk.sum() - np.vdot(x_new, g))
-        resid = float(np.linalg.norm(a.apply(x_new) - b))
-        trace.record(1, k, obj, resid, beta)
-        if cfg.record_iterates:
-            pre.update({"X": x_new.copy(), "Y": y_new.copy()})
-            trace.iterates.append(pre)
-        if obj_ref is None:
-            obj_ref = obj
-        _check_divergence(obj, obj_ref, trace, "tnnr_admmap")
+        gap = max(float(np.linalg.norm(x_new - y_new, "fro")),
+                  float(np.linalg.norm(ay - b - xi))) ** 2
+        yield x_new, s_shrunk, gap, beta, {"Y": y_new, "z11": z11, "z22": z22, "xi": xi}
         c_norm = float(np.linalg.norm(b + xi))
         step = max(float(np.linalg.norm(x_new - x, "fro")),
                    float(np.linalg.norm(y_new - y, "fro")))
         rho = cfg.rho0 if beta * step / max(c_norm, np.finfo(float).tiny) < cfg.eps_adapt else 1.0
-        change = float(np.linalg.norm(x_new - x, "fro") ** 2) / denom
-        gap = max(float(np.linalg.norm(x_new - y_new, "fro")),
-                  float(np.linalg.norm(ay - b - xi))) ** 2 / denom
         x, y = x_new, y_new
         beta = min(cfg.beta_max, rho * beta)
-        if change <= cfg.inner_tol and gap <= cfg.inner_tol:
-            trace.converged = True
-            break
-    trace.inner_iters.append(trace.total_inner_iters)
+
+
+def tnnr_admmap(a: LinearMap, b, pair: TruncationPair, delta: float,
+                cfg: SolverConfig | None = None) -> tuple[np.ndarray, StageTrace]:
+    """Block-matrix ADMM with adaptive penalty for the constrained models.
+
+    The two constraints X = Y and A(Y) in the delta-ball around b are folded
+    into one block equation P(X) + Q(Y) = C, whose Y-subproblem normal
+    equation (I + A*A) Y = RHS is solved in closed form through the
+    tight-frame inverse identity. The multiplier block Z has only its (1,1)
+    and (2,2) blocks active; the slack xi (measurement space) is updated by
+    ball projection only when delta > 0 and stays identically zero for the
+    equality model. The penalty grows by rho0 whenever the scaled iterate
+    change drops below eps_adapt. Stops once the squared relative X-change
+    and the larger of the two squared relative constraint gaps fall below
+    inner_tol; the returned iterate is projected onto the measurement ball.
+    """
+    cfg = cfg or SolverConfig()
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    x, trace = _iterate("tnnr_admmap", _admmap_steps, a, b, pair, cfg, delta)
     return project_ball(a, x, b, delta), trace
 
 
@@ -384,10 +335,9 @@ def solve_with_rank(a: LinearMap, b, r: int, inner: str = "admm",
     m, n = a.shape
     if r == 0:
         return _run_inner(inner, a, b, TruncationPair.empty(m, n), cfg)
-    data = _data_matrix(a, b)
     denom = float(b @ b) or 1.0
     stage_trace = StageTrace(rank=int(r))
-    x_l = data
+    x_l = a.adjoint(b)
     for l in range(1, cfg.max_refit_iters + 1):
         pair = truncation_pair(x_l, r)
         x_next, t = _run_inner(inner, a, b, pair, cfg)

@@ -17,11 +17,7 @@ from tnnr.linalg import (
     truncation_pair,
 )
 from tnnr.metrics import relative_error
-from tnnr.operators import (
-    PartialDct2D,
-    SamplingMask,
-    inverse_identity_check,
-)
+from tnnr.operators import PartialDct2D, SamplingMask
 from tnnr.solvers import (
     SolverConfig,
     lrisd,
@@ -31,6 +27,8 @@ from tnnr.solvers import (
     tnnr_admmap,
 )
 from tnnr.sve import SveConfig, estimate_rank
+
+from helpers import inverse_identity_check
 
 
 def report(criterion, detail):

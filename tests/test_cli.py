@@ -1,4 +1,5 @@
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,9 +27,17 @@ def make_test_image(path, seed=0, size=24, color=True):
 
 class TestExperimentConfig:
     def test_file_round_trip(self, tmp_path):
-        cfg = ExperimentConfig(command="compare", m=30, n=30, rank=2, sr=0.6,
-                               std=0.25, trials=3, seed=11, out="somewhere",
-                               kappa=4.5, adjust=1)
+        cfg = ExperimentConfig(command="compare", operator="mask", m=30, n=30, rank=2,
+                               sr=0.6, std=0.25, image="in.ppm", mask_file="mask.txt",
+                               keep_file="keep.txt", keep_dc=True, solver="admmap",
+                               kappa_mode="real", kappa=4.5, kappa_s=2.5, max_outer=4,
+                               stability=3, delta=0.125, mu=2.5, beta=0.02,
+                               inner_tol=1e-6, outer_tol=5e-3, max_inner_iters=123,
+                               max_refit_iters=7, trials=3, seed=11, out="somewhere",
+                               adjust=1)
+        defaults = ExperimentConfig()
+        assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+                   for f in fields(ExperimentConfig))
         path = tmp_path / "cfg.txt"
         cfg.to_file(path)
         loaded = ExperimentConfig.from_file(path)

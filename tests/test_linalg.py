@@ -8,10 +8,11 @@ from tnnr.linalg import (
     _shrink_factors,
     nuclear_norm,
     shrink,
-    svd,
     truncated_nuclear_norm,
     truncation_pair,
 )
+
+from helpers import svd
 
 
 def prox_objective(w, x, tau):

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from tnnr.operators import (
-    PartialDct2D,
-    SamplingMask,
-    inverse_identity_check,
-    project_ball,
-)
+from tnnr.operators import PartialDct2D, SamplingMask, project_ball
+
+from helpers import inverse_identity_check
 
 
 def random_operator(kind, m, n, sr, seed):

@@ -1,24 +1,32 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from tnnr.data import SyntheticSpec, synth_lowrank
 from tnnr.linalg import TruncationPair, nuclear_norm, shrink, truncated_nuclear_norm, truncation_pair
 from tnnr.metrics import relative_error
-from tnnr.operators import SamplingMask
+from tnnr.operators import SamplingMask, project_ball
 from tnnr.solvers import (
     SolverConfig,
     SolverDivergence,
+    _admm_steps,
+    _admmap_steps,
+    _apgl_steps,
     lrisd,
     momentum_step,
     objective,
-    q_adjoint,
-    q_apply,
     solve_with_rank,
     tnnr_admm,
     tnnr_admmap,
     tnnr_apgl,
 )
 from tnnr.sve import SveConfig
+
+from helpers import q_adjoint, q_apply
+
+SOLVERS = {"admm": (tnnr_admm, _admm_steps), "apgl": (tnnr_apgl, _apgl_steps),
+           "admmap": (tnnr_admmap, _admmap_steps)}
 
 
 def full_mask(m, n):
@@ -29,6 +37,38 @@ def full_mask(m, n):
 def instance(m, n, r, sr, std, seed, kind="mask"):
     spec = SyntheticSpec(m, n, r, sr, std, seed)
     return synth_lowrank(spec, kind=kind)
+
+
+def steps_of(name, a, b, pair, param, cfg):
+    """A solver's step generator, started as the solver starts it."""
+    return SOLVERS[name][1](a, b, pair.correction(), a.adjoint(b), cfg, param)
+
+
+def iterates(name, a, b, pair, param, cfg):
+    """Solve, then drive the solver's step generator for as many iterations
+    as the solve ran. Returns x, the trace and one dict per iteration with
+    the yielded X, penalty and iterates."""
+    x, trace = SOLVERS[name][0](a, b, pair, param, cfg)
+    steps = itertools.islice(steps_of(name, a, b, pair, param, cfg), len(trace.k))
+    return x, trace, [dict(state, X=x_k, beta=beta) for x_k, _, _, beta, state in steps]
+
+
+def admmap_iterates(a, b, pair, delta, cfg):
+    """`iterates` for tnnr_admmap, with z11, z22 and xi as each iteration
+    found them: the previous yield's, or the initial values for the first."""
+    x, trace, snaps = iterates("admmap", a, b, pair, delta, cfg)
+    if delta > 0:
+        v = a.apply(a.adjoint(b)) - b
+        nv = float(np.linalg.norm(v))
+        xi = v * (delta / nv) if nv > delta else v
+    else:
+        xi = np.zeros(a.p)
+    pre = {"z11": np.zeros(a.shape), "z22": np.zeros(a.p), "xi": xi}
+    for snap in snaps:
+        post = {key: snap[key] for key in pre}
+        snap.update(pre)
+        pre = post
+    return x, trace, snaps
 
 
 class TestSolverConfig:
@@ -92,19 +132,18 @@ class TestAdmm:
 
     def test_multiplier_update_is_exact(self):
         x_star, a, b = instance(8, 8, 2, 0.7, 0.1, 3)
-        cfg = SolverConfig(max_inner_iters=40, record_iterates=True)
-        _, trace = tnnr_admm(a, b, truncation_pair(x_star, 2), 0.0, cfg)
+        cfg = SolverConfig(max_inner_iters=40)
+        _, _, snaps = iterates("admm", a, b, truncation_pair(x_star, 2), 0.0, cfg)
         z_prev = a.adjoint(b)  # initial multiplier is the data matrix
-        for snap in trace.iterates:
+        for snap in snaps:
             step = cfg.gamma * cfg.beta * (snap["X"] - snap["Y"])
             assert np.array_equal(z_prev - step, snap["Z"])
             z_prev = snap["Z"]
 
     def test_primal_gap_small_at_termination(self):
         x_star, a, b = instance(15, 15, 3, 0.6, 0.0, 4)
-        cfg = SolverConfig(record_iterates=True)
-        _, trace = tnnr_admm(a, b, truncation_pair(x_star, 3), 0.0, cfg)
-        last = trace.iterates[-1]
+        _, _, snaps = iterates("admm", a, b, truncation_pair(x_star, 3), 0.0, SolverConfig())
+        last = snaps[-1]
         data_norm = np.linalg.norm(b)
         assert np.linalg.norm(last["X"] - last["Y"], "fro") <= 1e-2 * data_norm
 
@@ -202,14 +241,13 @@ class TestApgl:
         x_star, a, b = instance(10, 10, 2, 0.6, 0.3, 8)
         pair = truncation_pair(x_star, 2)
         mu = 1.5
-        cfg = SolverConfig(max_inner_iters=60, record_iterates=True)
-        _, trace = tnnr_apgl(a, b, pair, mu, cfg)
+        _, _, snaps = iterates("apgl", a, b, pair, mu, SolverConfig(max_inner_iters=60))
 
         def total(x):
             return objective(x, pair) + 0.5 * mu * np.linalg.norm(a.apply(x) - b) ** 2
 
         y_prev = a.adjoint(b)
-        for snap in trace.iterates:
+        for snap in snaps:
             assert total(snap["X"]) <= total(y_prev) + 1e-8
             y_prev = snap["Y"]
 
@@ -255,18 +293,16 @@ class TestQOperators:
 class TestAdmmap:
     def test_equality_mode_keeps_slack_zero_and_feasible(self):
         x_star, a, b = instance(10, 10, 2, 0.7, 0.0, 4)
-        cfg = SolverConfig(record_iterates=True)
-        x, trace = tnnr_admmap(a, b, truncation_pair(x_star, 2), 0.0, cfg)
-        for snap in trace.iterates:
+        x, _, snaps = admmap_iterates(a, b, truncation_pair(x_star, 2), 0.0, SolverConfig())
+        for snap in snaps:
             assert np.all(snap["xi"] == 0.0)
         assert np.linalg.norm(a.apply(x) - b) <= 1e-3 * np.linalg.norm(b)
 
     def test_ball_mode_slack_stays_in_ball(self):
         x_star, a, b = instance(10, 10, 2, 0.7, 0.3, 5, kind="dct")
         delta = 0.3 * np.sqrt(a.p)
-        cfg = SolverConfig(record_iterates=True)
-        x, trace = tnnr_admmap(a, b, truncation_pair(x_star, 2), delta, cfg)
-        for snap in trace.iterates[1:]:
+        x, _, snaps = admmap_iterates(a, b, truncation_pair(x_star, 2), delta, SolverConfig())
+        for snap in snaps[1:]:
             assert np.linalg.norm(snap["xi"]) <= delta * (1 + 1e-12)
         assert np.linalg.norm(a.apply(x) - b) <= delta * (1 + 1e-3)
 
@@ -299,9 +335,8 @@ class TestAdmmap:
             pair = truncation_pair(x_star, 2)
             g = pair.correction()
             delta = delta_scale * 0.2 * np.sqrt(a.p)
-            cfg = SolverConfig(max_inner_iters=60, record_iterates=True)
-            _, trace = tnnr_admmap(a, b, pair, delta, cfg)
-            for snap in trace.iterates:
+            _, _, snaps = admmap_iterates(a, b, pair, delta, SolverConfig(max_inner_iters=60))
+            for snap in snaps:
                 beta = snap["beta"]
                 y = snap["Y"]
                 lhs = y + a.adjoint(a.apply(y))
@@ -313,9 +348,8 @@ class TestAdmmap:
     def test_adaptive_penalty_follows_rule(self):
         x_star, a, b = instance(10, 10, 2, 0.6, 0.2, 8, kind="dct")
         delta = 0.2 * np.sqrt(a.p)
-        cfg = SolverConfig(max_inner_iters=80, record_iterates=True)
-        _, trace = tnnr_admmap(a, b, truncation_pair(x_star, 2), delta, cfg)
-        snaps = trace.iterates
+        cfg = SolverConfig(max_inner_iters=80)
+        _, _, snaps = admmap_iterates(a, b, truncation_pair(x_star, 2), delta, cfg)
         x_prev, y_prev = a.adjoint(b), a.adjoint(b)
         for i, snap in enumerate(snaps[:-1]):
             step = max(np.linalg.norm(snap["X"] - x_prev, "fro"),
@@ -325,6 +359,30 @@ class TestAdmmap:
             expected = cfg.rho0 if cond < cfg.eps_adapt else 1.0
             assert snaps[i + 1]["beta"] == min(cfg.beta_max, expected * snap["beta"])
             x_prev, y_prev = snap["X"], snap["Y"]
+
+
+class TestStepGenerators:
+    @pytest.mark.parametrize("name", ["admm", "apgl", "admmap"])
+    @pytest.mark.parametrize("kind, std, cap", [("mask", 0.0, 5000), ("dct", 0.3, 5000),
+                                                ("dct", 0.3, 7)])
+    def test_last_yield_is_the_result_and_yields_stay_fixed(self, name, kind, std, cap):
+        x_star, a, b = instance(10, 10, 2, 0.7, std, 9, kind=kind)
+        pair = truncation_pair(x_star, 2)
+        delta = std * np.sqrt(a.p)
+        param = 1.0 if name == "apgl" else delta
+        cfg = SolverConfig(max_inner_iters=cap)
+        x, trace = SOLVERS[name][0](a, b, pair, param, cfg)
+        yielded, copies = [], []
+        for item in itertools.islice(steps_of(name, a, b, pair, param, cfg), len(trace.k)):
+            arrays = [v for v in (*item[:2], *item[4].values()) if isinstance(v, np.ndarray)]
+            yielded.append(arrays)
+            copies.append([v.copy() for v in arrays])
+        x_last = yielded[-1][0]
+        if name != "apgl":
+            x_last = project_ball(a, x_last, b, delta)
+        assert x_last.tobytes() == x.tobytes()
+        for arrays, saved in zip(yielded, copies):
+            assert all(v.tobytes() == c.tobytes() for v, c in zip(arrays, saved))
 
 
 class TestLrisd:
