@@ -1,9 +1,10 @@
 """Experiment runner: image completion, partial-DCT synthetic recovery, rank
 estimation traces, and baseline-vs-multistage comparisons.
 
-Every run writes its resolved configuration, the operator index file, a
-metrics CSV (one row per seed and method), a per-iteration trace CSV and a
-rank-estimation profile CSV into the output directory. CSV outputs are
+Every run writes its resolved configuration, a metrics CSV (one row per
+seed and method), a per-iteration trace CSV and a rank-estimation profile
+CSV into the output directory; `complete` also writes the operator index
+file and the masked and recovered images of each trial. CSV outputs are
 byte-identical across re-runs with the same configuration and thread
 settings; wall-clock timings go to a separate timings.csv that is exempt
 from that guarantee.
@@ -105,14 +106,20 @@ class ExperimentConfig:
             for f in ("m", "n", "rank"):
                 if getattr(self, f) is None:
                     fail(f, f"the {self.command} command requires {f}")
+            for f in ("m", "n"):
+                if getattr(self, f) < 3:
+                    fail(f, f"must be >= 3 for rank estimation, got {getattr(self, f)}")
             if self.command == "dct-synth" and self.operator != "dct":
                 fail("operator", "dct-synth uses the dct operator")
         if self.mask_file and self.operator != "mask":
             fail("mask_file", "only valid with operator = mask")
         if self.keep_file and self.operator != "dct":
             fail("keep_file", "only valid with operator = dct")
-        if self.adjust is not None and self.adjust < 0:
-            fail("adjust", "window must be >= 0")
+        if self.adjust is not None:
+            if self.command == "sve-trace":
+                fail("adjust", "sve-trace runs no rank-window sweep")
+            if self.adjust < 0:
+                fail("adjust", "window must be >= 0")
 
     # ---- text round trip -------------------------------------------------
 
@@ -288,49 +295,56 @@ def _sve_rows(seed, method, traces):
     return rows
 
 
-def _trace_rows(seed, method, traces):
-    return [(seed, method, *row) for t in traces for row in t.rows()]
+# ---- trials --------------------------------------------------------------
 
 
-# ---- synthetic commands --------------------------------------------------
-
-
-def _synthetic_trial(cfg: ExperimentConfig, seed: int):
-    spec = SyntheticSpec(cfg.m, cfg.n, cfg.rank, cfg.sr, cfg.std, seed)
-    x_star, a, b = synth_lowrank(spec, kind=cfg.operator, keep_dc=cfg.keep_dc)
-    delta = _resolve_delta(cfg, a.p)
+def _trial(cfg: ExperimentConfig, seed: int, a, channels, delta: float, score, finish,
+           true_r=None):
+    """Run the command's methods on `channels`, each a (b, truth) pair
+    measured by `a`. `finish` maps a solver output to the recovery that is
+    scored and kept; `score(x, truth)` ranks the finished recoveries of the
+    adjust sweep (higher wins). Returns the (metrics, trace, sve, timings)
+    rows, in method, stage and index order, and each method's finished
+    recoveries."""
+    m, n = a.shape
     solver_cfg = _solver_config(cfg, delta)
-    kappa = _sve_config(cfg).resolve_kappa(cfg.m, cfg.n)
-
+    kappa = _sve_config(cfg).resolve_kappa(m, n)
     methods = ["lrisd"] if cfg.command in ("dct-synth", "sve-trace") else ["lr", "lrisd"]
-    if cfg.adjust is not None and cfg.command != "sve-trace":
+    if cfg.adjust is not None:
         methods.append("lrisd-adjust")
 
-    metrics, trace_rows, sve_rows, timings = [], [], [], []
-    lrisd_rank = 0
+    truths = np.hstack([truth for _, truth in channels])
+    metrics, trace_rows, sve_rows, timings, recovered = [], [], [], [], {}
+    lrisd_ranks = []
     for method in methods:
         start = time.perf_counter()
-        if method == "lr":
-            x, traces = lrisd(a, b, cfg.solver, _sve_config(cfg, baseline=True), solver_cfg)
-        elif method == "lrisd":
-            x, traces = lrisd(a, b, cfg.solver, _sve_config(cfg), solver_cfg)
-        else:
-            x, traces = _adjust_sweep(a, b, lrisd_rank, cfg, solver_cfg,
-                                      score=lambda xc: -relative_error(xc, x_star))
+        xs, ranks = [], []
+        stages = iters = 0
+        for ci, (b, truth) in enumerate(channels):
+            if method == "lr":
+                x, traces = lrisd(a, b, cfg.solver, _sve_config(cfg, baseline=True), solver_cfg)
+            elif method == "lrisd":
+                x, traces = lrisd(a, b, cfg.solver, _sve_config(cfg), solver_cfg)
+            else:
+                x, traces = _adjust_sweep(a, b, lrisd_ranks[ci], cfg, solver_cfg,
+                                          score=lambda xc: score(finish(xc), truth))
+            xs.append(finish(x))
+            ranks.append(_recovered_rank(x, kappa))
+            stages = max(stages, len(traces))
+            iters += sum(t.total_inner_iters for t in traces)
+            trace_rows.extend((seed, method, *row) for t in traces for row in t.rows())
+            sve_rows.extend(_sve_rows(seed, method, traces))
         elapsed = time.perf_counter() - start
-        rank = _recovered_rank(x, kappa)
         if method == "lrisd":
-            lrisd_rank = rank  # the centre of the adjust window, which runs next
+            lrisd_ranks = ranks  # the centres of the adjust windows, which run next
         metrics.append(_metrics_row(
             experiment=cfg.command, seed=seed, method=method, operator=cfg.operator,
-            solver=cfg.solver, m=cfg.m, n=cfg.n, true_r=cfg.rank, sr=cfg.sr, std=cfg.std,
-            kappa=kappa, delta=delta, mu=cfg.mu, rank_recovered=rank, stages=len(traces),
-            inner_iters=sum(t.total_inner_iters for t in traces),
-            reer=relative_error(x, x_star)))
-        trace_rows.extend(_trace_rows(seed, method, traces))
-        sve_rows.extend(_sve_rows(seed, method, traces))
+            solver=cfg.solver, m=m, n=n, true_r=true_r, sr=cfg.sr, std=cfg.std, kappa=kappa,
+            delta=delta, mu=cfg.mu, rank_recovered=int(np.median(ranks)), stages=stages,
+            inner_iters=iters, reer=relative_error(np.hstack(xs), truths)))
         timings.append((cfg.command, seed, method, elapsed))
-    return metrics, trace_rows, sve_rows, timings
+        recovered[method] = xs
+    return (metrics, trace_rows, sve_rows, timings), recovered
 
 
 def _adjust_sweep(a, b, r_center, cfg, solver_cfg, score):
@@ -349,149 +363,57 @@ def _adjust_sweep(a, b, r_center, cfg, solver_cfg, score):
     return best[1], merged
 
 
-def _run_synthetic(cfg: ExperimentConfig, out: Path) -> None:
-    seeds = [cfg.seed + i for i in range(cfg.trials)]
-    workers = _worker_count(cfg.trials)
-    with _blas_threads_shared(workers), ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda s: _synthetic_trial(cfg, s), seeds))
-    metrics, traces, sves, timings = [], [], [], []
-    for m, t, s, w in results:
-        metrics.extend(m)
-        traces.extend(t)
-        sves.extend(s)
-        timings.extend(w)
-    order = {"lr": 0, "lrisd": 1, "lrisd-adjust": 2}
-    metrics.sort(key=lambda r: (r["seed"], order[r["method"]]))
-    traces.sort(key=lambda r: (r[0], order[r[1]]))
-    sves.sort(key=lambda r: (r[0], order[r[1]], r[2], r[5]))
-    timings.sort(key=lambda r: (r[1], order[r[2]]))
-    _write_metrics(out / "metrics.csv", metrics)
-    _write_csv(out / "trace.csv", TRACE_COLUMNS, traces)
-    _write_csv(out / "sve.csv", SVE_COLUMNS, sves)
-    _write_csv(out / "timings.csv", ("experiment", "seed", "method", "seconds"), timings)
-
-    if cfg.command == "compare":
-        by_method = {}
-        for row in metrics:
-            by_method.setdefault(row["method"], []).append(row)
-        summary = []
-        for method in sorted(by_method, key=lambda m: order[m]):
-            rows = by_method[method]
-            median_reer = float(np.median([r["reer"] for r in rows]))
-            rank_hits = sum(1 for r in rows if r["rank_recovered"] == cfg.rank)
-            summary.append((method, len(rows), median_reer, rank_hits))
-        _write_csv(out / "summary.csv",
-                   ("method", "trials", "median_reer", "rank_hits"), summary)
-
-    if cfg.command == "sve-trace":
-        final = [r for r in metrics if r["method"] == "lrisd"]
-        for row in final:
-            print(f"seed {row['seed']}: estimated rank {row['rank_recovered']} "
-                  f"(true rank {cfg.rank}, kappa {row['kappa']:.6g})")
-
-
-# ---- image completion ----------------------------------------------------
+def _synthetic_trial(cfg: ExperimentConfig, seed: int):
+    spec = SyntheticSpec(cfg.m, cfg.n, cfg.rank, cfg.sr, cfg.std, seed)
+    x_star, a, b = synth_lowrank(spec, kind=cfg.operator, keep_dc=cfg.keep_dc)
+    rows, _ = _trial(cfg, seed, a, [(b, x_star)], _resolve_delta(cfg, a.p),
+                     score=lambda x, truth: -relative_error(x, truth),
+                     finish=lambda x: x, true_r=cfg.rank)
+    return rows
 
 
 def _build_image_operator(cfg: ExperimentConfig, m: int, n: int, seed: int):
+    path = cfg.mask_file or cfg.keep_file  # validate() pairs each with its operator
+    if path:
+        a = (SamplingMask if cfg.operator == "mask" else PartialDct2D).from_file(path)
+        if a.shape != (m, n):
+            kind = "mask" if cfg.mask_file else "keep"
+            raise ValueError(f"{kind} file shape {a.shape} does not match image ({m}, {n})")
+        return a
     if cfg.operator == "mask":
-        if cfg.mask_file:
-            a = SamplingMask.from_file(cfg.mask_file)
-            if a.shape != (m, n):
-                raise ValueError(f"mask file shape {a.shape} does not match image ({m}, {n})")
-        else:
-            a = SamplingMask.random(m, n, cfg.sr, stream_rng(seed, "mask"))
-    else:
-        if cfg.keep_file:
-            a = PartialDct2D.from_file(cfg.keep_file)
-            if a.shape != (m, n):
-                raise ValueError(f"keep file shape {a.shape} does not match image ({m}, {n})")
-        else:
-            a = PartialDct2D.random(m, n, cfg.sr, stream_rng(seed, "freqs"), keep_dc=cfg.keep_dc)
-    return a
+        return SamplingMask.random(m, n, cfg.sr, stream_rng(seed, "mask"))
+    return PartialDct2D.random(m, n, cfg.sr, stream_rng(seed, "freqs"), keep_dc=cfg.keep_dc)
 
 
-def _image_trial(cfg: ExperimentConfig, channels, seed: int, out: Path):
-    m, n = channels[0].shape
+def _image_trial(cfg: ExperimentConfig, image, seed: int, out: Path):
+    """One completion trial over the image's channels. Writes its operator,
+    masked input and recovered images, and returns only its rows."""
+    m, n = image[0].shape
     a = _build_image_operator(cfg, m, n, seed)
-    delta = cfg.delta if cfg.delta is not None else 0.0
-    solver_cfg = _solver_config(cfg, delta)
-    kappa = _sve_config(cfg).resolve_kappa(m, n)
     if cfg.operator == "mask":
-        missing = ~a.observed()
+        observed = a.observed()
+        missing = ~observed
         eval_mask = missing if missing.any() else None
     else:
         eval_mask = None  # transform-domain sampling leaves no pixel untouched
+    rows, recovered = _trial(
+        cfg, seed, a, [(a.apply(c), c) for c in image],
+        cfg.delta if cfg.delta is not None else 0.0,
+        score=lambda x, truth: psnr(x, truth, eval_mask).psnr_db,
+        finish=lambda x: np.clip(x, 0.0, 255.0))
 
-    methods = ["lr", "lrisd"]
-    if cfg.adjust is not None:
-        methods.append("lrisd-adjust")
-
-    metrics, trace_rows, sve_rows, timings, images = [], [], [], [], {}
-    lrisd_ranks = {}
-    for method in methods:
-        start = time.perf_counter()
-        recovered, all_traces, ranks = [], [], []
-        stages = iters = 0
-        for ci, channel in enumerate(channels):
-            b = a.apply(channel)
-            if method == "lr":
-                x, traces = lrisd(a, b, cfg.solver, _sve_config(cfg, baseline=True), solver_cfg)
-            elif method == "lrisd":
-                x, traces = lrisd(a, b, cfg.solver, _sve_config(cfg), solver_cfg)
-            else:
-                x, traces = _adjust_sweep(
-                    a, b, lrisd_ranks.get(ci, 0), cfg, solver_cfg,
-                    score=lambda xc: psnr(np.clip(xc, 0, 255), channel, eval_mask).psnr_db)
-            recovered.append(np.clip(x, 0.0, 255.0))
-            ranks.append(_recovered_rank(x, kappa))
-            if method == "lrisd":
-                lrisd_ranks[ci] = ranks[-1]
-            stages = max(stages, len(traces))
-            iters += sum(t.total_inner_iters for t in traces)
-            all_traces.extend(_trace_rows(seed, method, traces))
-            sve_rows.extend(_sve_rows(seed, method, traces))
-        elapsed = time.perf_counter() - start
-        report = psnr(recovered if len(recovered) > 1 else recovered[0],
-                      channels if len(channels) > 1 else channels[0], eval_mask)
-        metrics.append(_metrics_row(
-            experiment=cfg.command, seed=seed, method=method, operator=cfg.operator,
-            solver=cfg.solver, m=m, n=n, sr=cfg.sr, std=cfg.std, kappa=kappa,
-            delta=delta, mu=cfg.mu, rank_recovered=int(np.median(ranks)), stages=stages,
-            inner_iters=iters, reer=relative_error(np.hstack(recovered), np.hstack(channels)),
-            psnr_db=report.psnr_db, se=report.se, mse=report.mse, t_count=report.t_count))
-        trace_rows.extend(all_traces)
-        timings.append((cfg.command, seed, method, elapsed))
-        images[method] = recovered
-    return a, metrics, trace_rows, sve_rows, timings, images, eval_mask
-
-
-def _run_complete(cfg: ExperimentConfig, out: Path) -> None:
-    channels = load_image(cfg.image)
-    ext = "pgm" if len(channels) == 1 else "ppm"
-    all_metrics, all_traces, all_sves, all_timings = [], [], [], []
-    for trial in range(cfg.trials):
-        seed = cfg.seed + trial
-        a, metrics, traces, sves, timings, images, eval_mask = _image_trial(
-            cfg, channels, seed, out)
-        tag = f"_seed{seed}" if cfg.trials > 1 else ""
-        a.to_file(out / f"operator{tag}.txt")
-        if cfg.operator == "mask":
-            observed = a.observed()
-            save_image([c * observed for c in channels], out / f"masked{tag}.{ext}")
-        for method, recovered in images.items():
-            save_image(recovered, out / f"recovered_{method}{tag}.{ext}")
-        all_metrics.extend(metrics)
-        all_traces.extend(traces)
-        all_sves.extend(sves)
-        all_timings.extend(timings)
-    _write_metrics(out / "metrics.csv", all_metrics)
-    _write_csv(out / "trace.csv", TRACE_COLUMNS, all_traces)
-    _write_csv(out / "sve.csv", SVE_COLUMNS, all_sves)
-    _write_csv(out / "timings.csv", ("experiment", "seed", "method", "seconds"), all_timings)
-    for row in all_metrics:
-        print(f"seed {row['seed']} {row['method']}: PSNR {row['psnr_db']:.3f} dB "
-              f"over {row['t_count']} pixels")
+    tag = f"_seed{seed}" if cfg.trials > 1 else ""
+    ext = "pgm" if len(image) == 1 else "ppm"
+    a.to_file(out / f"operator{tag}.txt")
+    if cfg.operator == "mask":
+        save_image([c * observed for c in image], out / f"masked{tag}.{ext}")
+    for row in rows[0]:
+        xs = recovered[row["method"]]
+        report = psnr(xs, image, eval_mask)
+        row.update(psnr_db=report.psnr_db, se=report.se, mse=report.mse,
+                   t_count=report.t_count)
+        save_image(xs, out / f"recovered_{row['method']}{tag}.{ext}")
+    return rows
 
 
 # ---- plot data -----------------------------------------------------------
@@ -552,9 +474,44 @@ def run(cfg: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfg.to_file(out / "config.txt")
     if cfg.command == "complete":
-        _run_complete(cfg, out)
+        image = load_image(cfg.image)
+        if min(image[0].shape) < 3:
+            raise ValueError(f"image {cfg.image} has shape {image[0].shape}; "
+                             "complete needs at least 3x3 pixels")
+        # one worker: side-by-side completions raise peak memory beyond the
+        # benchmark's bound (README, Threads)
+        trial, workers = (lambda seed: _image_trial(cfg, image, seed, out)), 1
     else:
-        _run_synthetic(cfg, out)
+        trial, workers = (lambda seed: _synthetic_trial(cfg, seed)), _worker_count(cfg.trials)
+    with _blas_threads_shared(workers), ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(trial, range(cfg.seed, cfg.seed + cfg.trials)))
+    # map keeps seed order, and each trial's rows come in method order
+    metrics, traces, sves, timings = ([row for rows in part for row in rows]
+                                      for part in zip(*results))
+    _write_metrics(out / "metrics.csv", metrics)
+    _write_csv(out / "trace.csv", TRACE_COLUMNS, traces)
+    _write_csv(out / "sve.csv", SVE_COLUMNS, sves)
+    _write_csv(out / "timings.csv", ("experiment", "seed", "method", "seconds"), timings)
+
+    if cfg.command == "compare":
+        by_method = {}
+        for row in metrics:
+            by_method.setdefault(row["method"], []).append(row)
+        summary = []
+        for method, rows in by_method.items():
+            median_reer = float(np.median([r["reer"] for r in rows]))
+            rank_hits = sum(1 for r in rows if r["rank_recovered"] == cfg.rank)
+            summary.append((method, len(rows), median_reer, rank_hits))
+        _write_csv(out / "summary.csv",
+                   ("method", "trials", "median_reer", "rank_hits"), summary)
+    elif cfg.command == "sve-trace":
+        for row in metrics:
+            print(f"seed {row['seed']}: estimated rank {row['rank_recovered']} "
+                  f"(true rank {cfg.rank}, kappa {row['kappa']:.6g})")
+    elif cfg.command == "complete":
+        for row in metrics:
+            print(f"seed {row['seed']} {row['method']}: PSNR {row['psnr_db']:.3f} dB "
+                  f"over {row['t_count']} pixels")
     return 0
 
 

@@ -77,6 +77,42 @@ class TestExperimentConfig:
                              operator="dct", mask_file="m.txt").validate()
 
 
+class TestSmallShapesAndAdjust:
+    """Shapes with fewer than 3 singular values and `sve-trace --adjust`
+    fail before any solve, naming the field or the image shape."""
+
+    @pytest.mark.parametrize("m, n, field", [(2, 2, "m"), (5, 2, "n")])
+    def test_synthetic_shape_below_three_is_rejected(self, tmp_path, capsys, m, n, field):
+        out = tmp_path / "small"
+        code = main(["compare", "--m", str(m), "--n", str(n), "--rank", "1", "--sr", "0.5",
+                     "--out", str(out)])
+        assert code == 2
+        assert f"config field '{field}': must be >= 3" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    def test_three_by_three_still_runs(self, tmp_path):
+        out = tmp_path / "three"
+        code = main(["compare", "--m", "3", "--n", "4", "--rank", "1", "--sr", "0.8",
+                     "--max-inner-iters", "50", "--out", str(out)])
+        assert code == 0
+        assert len(read_csv(out / "metrics.csv")) == 2
+
+    def test_image_below_three_is_rejected(self, tmp_path, capsys):
+        image = tmp_path / "thin.pgm"
+        save_image([np.full((2, 5), 100.0)], image)
+        code = main(["complete", "--image", str(image), "--operator", "mask",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "shape (2, 5)" in err and "at least 3x3" in err
+
+    def test_sve_trace_rejects_adjust(self, tmp_path, capsys):
+        code = main(["sve-trace", "--m", "10", "--n", "10", "--rank", "1", "--adjust", "1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config field 'adjust'" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def compare_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("cmp")
@@ -230,6 +266,94 @@ class TestCompleteCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "nope.ppm" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def complete_trials(tmp_path_factory):
+    """`tnnr complete` with two trials on a color image, run twice."""
+    root = tmp_path_factory.mktemp("trials")
+    image = make_test_image(root / "in.ppm", seed=4, size=16)
+    outs = []
+    for name in ("first", "again"):
+        out = root / name
+        assert main(["complete", "--image", str(image), "--operator", "mask", "--sr", "0.5",
+                     "--kappa-mode", "real", "--trials", "2", "--seed", "7",
+                     "--max-inner-iters", "300", "--out", str(out)]) == 0
+        outs.append(out)
+    return outs
+
+
+class TestCompleteTrials:
+    SEEDS = (7, 8)
+    METHODS = ("lr", "lrisd")
+
+    def test_each_seed_writes_its_files(self, complete_trials):
+        out = complete_trials[0]
+        for seed in self.SEEDS:
+            assert (out / f"operator_seed{seed}.txt").is_file()
+            assert (out / f"masked_seed{seed}.ppm").is_file()
+            for method in self.METHODS:
+                assert (out / f"recovered_{method}_seed{seed}.ppm").is_file()
+        assert not (out / "operator.txt").exists()
+
+    def test_rows_in_seed_then_method_order(self, complete_trials):
+        rows = read_csv(complete_trials[0] / "metrics.csv")
+        assert [(int(r["seed"]), r["method"]) for r in rows] == [
+            (seed, method) for seed in self.SEEDS for method in self.METHODS]
+
+    def test_rerun_is_byte_identical(self, complete_trials):
+        first, again = complete_trials
+        skip = ("timings.csv", "config.txt")
+        names = sorted(p.name for p in first.iterdir() if p.name not in skip)
+        assert names == sorted(p.name for p in again.iterdir() if p.name not in skip)
+        for name in names:
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+    def test_one_worker_leaves_blas_threads_alone(self, blas_threads, monkeypatch, tmp_path):
+        import tnnr.cli
+        get, put = blas_threads
+        put(4)
+        seen, solve = [], tnnr.cli.lrisd
+
+        def recording(*args, **kwargs):
+            seen.append(get())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr("tnnr.cli.lrisd", recording)
+        monkeypatch.setenv("LOWRANK_THREADS", "2")
+        image = make_test_image(tmp_path / "in.pgm", seed=5, color=False, size=12)
+        assert main(["complete", "--image", str(image), "--operator", "mask", "--sr", "0.6",
+                     "--kappa-mode", "real", "--trials", "2", "--max-inner-iters", "100",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert seen == [4] * 4  # 2 trials x (lr, lrisd), one grayscale channel
+        assert get() == 4
+
+    def test_keep_file_round_trips(self, tmp_path):
+        from tnnr.operators import PartialDct2D
+
+        image = make_test_image(tmp_path / "in.pgm", seed=6, color=False, size=12)
+        keep = PartialDct2D.random(12, 12, 0.7, np.random.default_rng(3))
+        keep.to_file(tmp_path / "keep.txt")
+        out = tmp_path / "kf"
+        assert main(["complete", "--image", str(image), "--operator", "dct",
+                     "--keep-file", str(tmp_path / "keep.txt"), "--kappa-mode", "real",
+                     "--max-inner-iters", "100", "--out", str(out)]) == 0
+        saved = PartialDct2D.from_file(out / "operator.txt")
+        assert saved.shape == (12, 12)
+        assert np.array_equal(saved.kept, keep.kept)
+
+    @pytest.mark.parametrize("operator, flag", [("mask", "--mask-file"),
+                                                ("dct", "--keep-file")])
+    def test_operator_file_shape_mismatch(self, tmp_path, capsys, operator, flag):
+        from tnnr.operators import PartialDct2D, SamplingMask
+
+        image = make_test_image(tmp_path / "in.pgm", seed=7, color=False, size=12)
+        kind = SamplingMask if operator == "mask" else PartialDct2D
+        kind.random(10, 12, 0.6, np.random.default_rng(4)).to_file(tmp_path / "op.txt")
+        code = main(["complete", "--image", str(image), "--operator", operator,
+                     flag, str(tmp_path / "op.txt"), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "does not match image (12, 12)" in capsys.readouterr().err
 
 
 class TestPlotData:
