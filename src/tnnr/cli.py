@@ -101,8 +101,9 @@ class ExperimentConfig:
                 if getattr(self, f) is not None:
                     fail(f, "the complete command derives dimensions from the image")
         else:
-            if self.image:
-                fail("image", f"the {self.command} command takes no image input")
+            for f in ("image", "mask_file", "keep_file"):
+                if getattr(self, f):
+                    fail(f, f"the {self.command} command takes no {f}; only complete reads one")
             for f in ("m", "n", "rank"):
                 if getattr(self, f) is None:
                     fail(f, f"the {self.command} command requires {f}")
@@ -111,10 +112,9 @@ class ExperimentConfig:
                     fail(f, f"must be >= 3 for rank estimation, got {getattr(self, f)}")
             if self.command == "dct-synth" and self.operator != "dct":
                 fail("operator", "dct-synth uses the dct operator")
-        if self.mask_file and self.operator != "mask":
-            fail("mask_file", "only valid with operator = mask")
-        if self.keep_file and self.operator != "dct":
-            fail("keep_file", "only valid with operator = dct")
+        for f, operator in (("mask_file", "mask"), ("keep_file", "dct"), ("keep_dc", "dct")):
+            if getattr(self, f) and self.operator != operator:
+                fail(f, f"only valid with operator = {operator}")
         if self.adjust is not None:
             if self.command == "sve-trace":
                 fail("adjust", "sve-trace runs no rank-window sweep")

@@ -25,17 +25,6 @@ def as_matrix(a) -> np.ndarray:
     return x
 
 
-def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
-    """Flip singular-vector pairs in place so the largest-magnitude entry of
-    each left singular vector is nonnegative. Makes the factorization
-    deterministic up to ties."""
-    for j in range(min(u.shape[1], v.shape[1])):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-
-
 def _dense_shrink(x: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """`_shrink_factors` through a full `gesdd`: exact at any tau."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
@@ -150,7 +139,4 @@ def truncation_pair(x, r: int) -> TruncationPair:
     if r == 0:
         return TruncationPair.empty(*x.shape)
     u, _, vt = np.linalg.svd(x, full_matrices=False)
-    v = vt.T.copy()
-    u = u.copy()
-    _fix_signs(u, v)
-    return TruncationPair(r=r, L=u[:, :r].T.copy(), R=v[:, :r].T.copy())
+    return TruncationPair(r=r, L=u[:, :r].T.copy(), R=vt[:r].copy())

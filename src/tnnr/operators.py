@@ -27,11 +27,38 @@ def _as_measurement(y, p: int) -> np.ndarray:
     return y
 
 
+def _read_index_file(path, kind: str, width: int) -> tuple[int, int, np.ndarray]:
+    """Read an operator index file: an 'm n p' header line, then p lines of
+    `width` integers, one line per measurement. Returns m, n and the p x width
+    index array; a malformed file raises a ValueError naming `kind`."""
+    try:
+        with open(path) as f:
+            header = f.readline().split()
+            if len(header) != 3:
+                raise ValueError("first line must be 'm n p'")
+            m, n, p = (int(t) for t in header)
+            idx = np.loadtxt(f, dtype=np.intp, ndmin=2)
+    except (OSError, ValueError) as e:
+        raise ValueError(f"bad {kind} file {path}: {e}") from e
+    if idx.shape != (p, width):
+        raise ValueError(f"bad {kind} file {path}: expected {p} lines of {width} indices, "
+                         f"got shape {idx.shape}")
+    return m, n, idx
+
+
+def _write_index_file(path, shape, idx: np.ndarray) -> None:
+    """Write the format `_read_index_file` reads; idx holds one row (or, for
+    one index per measurement, one entry) per measurement."""
+    with open(path, "w") as f:
+        f.write(f"{shape[0]} {shape[1]} {len(idx)}\n")
+        np.savetxt(f, idx, fmt="%d")
+
+
 class LinearMap:
     """Linear map A : R^{m x n} -> R^p with adjoint, satisfying A A* = I.
 
-    Subclasses fix the measurement ordering at construction so that repeated
-    runs produce bit-identical measurement vectors.
+    Subclasses define apply and adjoint, all that the solvers call, and fix
+    the measurement order at construction, so reruns measure bit-identically.
     """
 
     kind = "abstract"
@@ -56,15 +83,6 @@ class LinearMap:
 
     def adjoint(self, y) -> np.ndarray:
         """A*(y): map a measurement vector back to an m x n matrix."""
-        raise NotImplementedError
-
-    def embed(self, y) -> np.ndarray:
-        """Isometric 'matrix form' of a measurement vector (an m x n matrix
-        whose extract() recovers y). Used by the block-matrix solver."""
-        raise NotImplementedError
-
-    def extract(self, w) -> np.ndarray:
-        """Adjoint of embed: read the p measurement slots out of a matrix."""
         raise NotImplementedError
 
 
@@ -100,24 +118,11 @@ class SamplingMask(LinearMap):
 
     @classmethod
     def from_file(cls, path) -> "SamplingMask":
-        try:
-            with open(path) as f:
-                header = f.readline().split()
-                if len(header) != 3:
-                    raise ValueError("first line must be 'm n p'")
-                m, n, p = (int(t) for t in header)
-                idx = np.loadtxt(f, dtype=np.intp, ndmin=2)
-        except (OSError, ValueError) as e:
-            raise ValueError(f"bad mask file {path}: {e}") from e
-        if idx.shape != (p, 2):
-            raise ValueError(f"bad mask file {path}: expected {p} 'i j' lines, got shape {idx.shape}")
+        m, n, idx = _read_index_file(path, "mask", 2)
         return cls(m, n, idx[:, 0], idx[:, 1])
 
     def to_file(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(f"{self.shape[0]} {self.shape[1]} {self.p}\n")
-            for i, j in zip(self.rows, self.cols):
-                f.write(f"{i} {j}\n")
+        _write_index_file(path, self.shape, np.column_stack((self.rows, self.cols)))
 
     def apply(self, x) -> np.ndarray:
         x = self._check_domain(x)
@@ -128,10 +133,6 @@ class SamplingMask(LinearMap):
         out = np.zeros(self.shape)
         out[self.rows, self.cols] = y
         return out
-
-    # for a mask the natural matrix form of y is the zero-filled scatter
-    embed = adjoint
-    extract = apply
 
     def observed(self) -> np.ndarray:
         """Boolean m x n array, True at observed entries."""
@@ -175,41 +176,21 @@ class PartialDct2D(LinearMap):
 
     @classmethod
     def from_file(cls, path) -> "PartialDct2D":
-        try:
-            with open(path) as f:
-                header = f.readline().split()
-                if len(header) != 3:
-                    raise ValueError("first line must be 'm n p'")
-                m, n, p = (int(t) for t in header)
-                kept = np.loadtxt(f, dtype=np.intp, ndmin=1)
-        except (OSError, ValueError) as e:
-            raise ValueError(f"bad DCT-keep file {path}: {e}") from e
-        if kept.shape != (p,):
-            raise ValueError(f"bad DCT-keep file {path}: expected {p} index lines, got shape {kept.shape}")
-        return cls(m, n, kept)
+        m, n, idx = _read_index_file(path, "DCT-keep", 1)
+        return cls(m, n, idx[:, 0])
 
     def to_file(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(f"{self.shape[0]} {self.shape[1]} {self.p}\n")
-            for k in self.kept:
-                f.write(f"{k}\n")
+        _write_index_file(path, self.shape, self.kept)
 
     def apply(self, x) -> np.ndarray:
         x = self._check_domain(x)
         return fft.dctn(x, norm="ortho").ravel()[self.kept]
 
     def adjoint(self, y) -> np.ndarray:
-        return fft.idctn(self.embed(y), norm="ortho")
-
-    def embed(self, y) -> np.ndarray:
         y = _as_measurement(y, self.p)
         c = np.zeros(self.shape[0] * self.shape[1])
         c[self.kept] = y
-        return c.reshape(self.shape)
-
-    def extract(self, w) -> np.ndarray:
-        w = self._check_domain(w)
-        return w.ravel()[self.kept]
+        return fft.idctn(c.reshape(self.shape), norm="ortho")
 
 
 def project_ball(a: LinearMap, y, b, delta: float) -> np.ndarray:

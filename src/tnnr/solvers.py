@@ -34,40 +34,39 @@ __all__ = [
     "INNER_SOLVERS",
 ]
 
-_GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
+# Fixed constants of the inner solvers: the ADMM multiplier step scale, and
+# the adaptive-penalty rule beta <- min(BETA_MAX, RHO0 * beta) of tnnr_admmap,
+# which grows beta whenever the scaled iterate change drops below EPS_ADAPT.
+GAMMA = 1.0
+BETA_MAX = 1e6
+RHO0 = 1.9
+EPS_ADAPT = 1e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Scalar knobs shared by the inner solvers and the outer loop.
+    """Scalar knobs shared by the inner solvers and the outer loop; the only
+    source of each setting the solvers read, checked once and then frozen.
 
     beta is the ADMM penalty (also the initial penalty of the adaptive
-    variant); gamma scales the multiplier step and must stay in
-    (0, (sqrt(5)+1)/2); mu weighs the data-fit term of the penalized model;
-    delta is the measurement-ball radius (0 = equality constraint).
+    variant, so at most BETA_MAX); mu weighs the data-fit term of the
+    penalized model (tnnr_apgl); delta is the measurement-ball radius of the
+    constrained models (tnnr_admm, tnnr_admmap; 0 = equality constraint).
     inner_tol bounds the per-iteration squared relative change inside a
     solver, outer_tol the same quantity across truncation-pair refits.
-    beta_max, rho0 and eps_adapt drive the adaptive-penalty update
-    beta <- min(beta_max, rho0 * beta).
     """
 
     beta: float = 1e-3
-    gamma: float = 1.0
     mu: float = 1.0
     delta: float = 0.0
     inner_tol: float = 1e-4
     outer_tol: float = 1e-2
     max_inner_iters: int = 5000
     max_refit_iters: int = 30
-    beta_max: float = 1e6
-    rho0: float = 1.9
-    eps_adapt: float = 1e-3
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not 0 < self.gamma < _GOLDEN:
-            raise ValueError(f"gamma must lie in (0, (sqrt(5)+1)/2), got {self.gamma}")
+        if not 0 < self.beta <= BETA_MAX:
+            raise ValueError(f"beta must lie in (0, {BETA_MAX:g}], got {self.beta}")
         if self.mu <= 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.delta < 0:
@@ -76,12 +75,6 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.max_inner_iters < 1 or self.max_refit_iters < 1:
             raise ValueError("iteration caps must be >= 1")
-        if self.beta_max < self.beta:
-            raise ValueError("beta_max must be >= beta")
-        if self.rho0 < 1:
-            raise ValueError(f"rho0 must be >= 1, got {self.rho0}")
-        if self.eps_adapt <= 0:
-            raise ValueError("eps_adapt must be positive")
 
 
 @dataclass
@@ -151,11 +144,11 @@ def _check_divergence(obj: float, obj_ref: float, trace: StageTrace, name: str) 
             f"{name} diverged at iteration {len(trace.k)}: objective {obj:.3e}", trace)
 
 
-def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair, cfg: SolverConfig,
-             param: float) -> tuple[np.ndarray, StageTrace]:
+def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
+             cfg: SolverConfig) -> tuple[np.ndarray, StageTrace]:
     """The iteration loop the three inner solvers share.
 
-    `steps(a, b, g, x0, cfg, param)` is a solver's step generator, started at
+    `steps(a, b, g, x0, cfg)` is a solver's step generator, started at
     x0 = A*(b) with g = L^T R; it starts its other iterates from copies of
     x0. (Sharing x0 would be as correct, but the changed heap layout made
     glibc trim and refault the 300x300 temporaries of admm every iteration.) Once per iteration it yields the new X, its
@@ -171,7 +164,7 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair, cfg: Solve
     denom = float(b @ b) or 1.0
     trace = StageTrace(rank=pair.r)
     obj_ref = None
-    iterations = zip(range(1, cfg.max_inner_iters + 1), steps(a, b, g, x, cfg, param))
+    iterations = zip(range(1, cfg.max_inner_iters + 1), steps(a, b, g, x, cfg))
     for k, (x_new, s_shrunk, gap, beta, _) in iterations:
         obj = float(s_shrunk.sum() - np.vdot(x_new, g))
         resid = float(np.linalg.norm(a.apply(x_new) - b))
@@ -188,22 +181,23 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair, cfg: Solve
     return x, trace
 
 
-def _admm_steps(a, b, g, x, cfg, delta):
+def _admm_steps(a, b, g, x, cfg):
     y, z = x.copy(), x.copy()
     while True:
         x_new, s_shrunk = _shrink_factors(y + z / cfg.beta, 1.0 / cfg.beta)
-        y = project_ball(a, x_new + (g - z) / cfg.beta, b, delta)
-        z = z - cfg.gamma * cfg.beta * (x_new - y)
+        y = project_ball(a, x_new + (g - z) / cfg.beta, b, cfg.delta)
+        z = z - GAMMA * cfg.beta * (x_new - y)
         gap = float(np.linalg.norm(x_new - y, "fro") ** 2)
         yield x_new, s_shrunk, gap, cfg.beta, {"Y": y, "Z": z}
 
 
-def tnnr_admm(a: LinearMap, b, pair: TruncationPair, delta: float,
+def tnnr_admm(a: LinearMap, b, pair: TruncationPair,
               cfg: SolverConfig | None = None) -> tuple[np.ndarray, StageTrace]:
-    """ADMM for the equality- (delta = 0) or ball-constrained model.
+    """ADMM for the equality- (cfg.delta = 0) or ball-constrained model
+    min ||X||_* - Tr(L X R^T) s.t. ||A(X) - b|| <= cfg.delta.
 
     Iterates X <- shrink(Y + Z/beta, 1/beta),
-    Y <- P_ball(X + (L^T R - Z)/beta), Z <- Z - gamma beta (X - Y), starting
+    Y <- P_ball(X + (L^T R - Z)/beta), Z <- Z - GAMMA beta (X - Y), starting
     all three at the matrix form of b. Stops once both the squared relative
     X-change and the squared relative X-Y gap fall below inner_tol; the gap
     condition keeps the change test from firing inside the shrinkage dead
@@ -212,28 +206,26 @@ def tnnr_admm(a: LinearMap, b, pair: TruncationPair, delta: float,
     contract holds even at the iteration cap.
     """
     cfg = cfg or SolverConfig()
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    x, trace = _iterate("tnnr_admm", _admm_steps, a, b, pair, cfg, delta)
-    return project_ball(a, x, b, delta), trace
+    x, trace = _iterate("tnnr_admm", _admm_steps, a, b, pair, cfg)
+    return project_ball(a, x, b, cfg.delta), trace
 
 
-def _apgl_steps(a, b, g, x, cfg, mu):
-    step = 1.0 / mu
+def _apgl_steps(a, b, g, x, cfg):
+    step = 1.0 / cfg.mu
     y, tau = x.copy(), 1.0
     while True:
-        grad = -g + mu * a.adjoint(a.apply(y) - b)
+        grad = -g + cfg.mu * a.adjoint(a.apply(y) - b)
         x_new, s_shrunk = _shrink_factors(y - step * grad, step)
         tau_new = momentum_step(tau)
         y = x_new + ((tau - 1.0) / tau_new) * (x_new - x)
-        yield x_new, s_shrunk, 0.0, mu, {"Y": y, "tau": tau_new}
+        yield x_new, s_shrunk, 0.0, cfg.mu, {"Y": y, "tau": tau_new}
         x, tau = x_new, tau_new
 
 
-def tnnr_apgl(a: LinearMap, b, pair: TruncationPair, mu: float,
+def tnnr_apgl(a: LinearMap, b, pair: TruncationPair,
               cfg: SolverConfig | None = None) -> tuple[np.ndarray, StageTrace]:
     """Accelerated proximal gradient for the penalized model
-    min ||X||_* - Tr(L X R^T) + (mu/2) ||A(X) - b||^2.
+    min ||X||_* - Tr(L X R^T) + (mu/2) ||A(X) - b||^2, with mu = cfg.mu.
 
     The smooth part F(Y) = -Tr(L Y R^T) + (mu/2)||A(Y) - b||^2 has gradient
     -L^T R + mu A*(A(Y) - b) and Lipschitz constant mu for a tight frame, so
@@ -241,13 +233,11 @@ def tnnr_apgl(a: LinearMap, b, pair: TruncationPair, mu: float,
     follows tau <- (1 + sqrt(1 + 4 tau^2)) / 2 from tau = 1. Stops once the
     squared relative X-change falls below inner_tol.
     """
-    cfg = cfg or SolverConfig()
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    return _iterate("tnnr_apgl", _apgl_steps, a, b, pair, cfg, mu)
+    return _iterate("tnnr_apgl", _apgl_steps, a, b, pair, cfg or SolverConfig())
 
 
-def _admmap_steps(a, b, g, x, cfg, delta):
+def _admmap_steps(a, b, g, x, cfg):
+    delta = cfg.delta
     y = x.copy()
     z11 = np.zeros(a.shape)
     z22 = np.zeros(a.p)
@@ -278,12 +268,12 @@ def _admmap_steps(a, b, g, x, cfg, delta):
         c_norm = float(np.linalg.norm(b + xi))
         step = max(float(np.linalg.norm(x_new - x, "fro")),
                    float(np.linalg.norm(y_new - y, "fro")))
-        rho = cfg.rho0 if beta * step / max(c_norm, np.finfo(float).tiny) < cfg.eps_adapt else 1.0
+        rho = RHO0 if beta * step / max(c_norm, np.finfo(float).tiny) < EPS_ADAPT else 1.0
         x, y = x_new, y_new
-        beta = min(cfg.beta_max, rho * beta)
+        beta = min(BETA_MAX, rho * beta)
 
 
-def tnnr_admmap(a: LinearMap, b, pair: TruncationPair, delta: float,
+def tnnr_admmap(a: LinearMap, b, pair: TruncationPair,
                 cfg: SolverConfig | None = None) -> tuple[np.ndarray, StageTrace]:
     """Block-matrix ADMM with adaptive penalty for the constrained models.
 
@@ -292,17 +282,16 @@ def tnnr_admmap(a: LinearMap, b, pair: TruncationPair, delta: float,
     equation (I + A*A) Y = RHS is solved in closed form through the
     tight-frame inverse identity. The multiplier block Z has only its (1,1)
     and (2,2) blocks active; the slack xi (measurement space) is updated by
-    ball projection only when delta > 0 and stays identically zero for the
-    equality model. The penalty grows by rho0 whenever the scaled iterate
-    change drops below eps_adapt. Stops once the squared relative X-change
-    and the larger of the two squared relative constraint gaps fall below
-    inner_tol; the returned iterate is projected onto the measurement ball.
+    ball projection only when cfg.delta > 0 and stays identically zero for
+    the equality model. The penalty grows by RHO0, up to BETA_MAX, whenever
+    the scaled iterate change drops below EPS_ADAPT. Stops once the squared
+    relative X-change and the larger of the two squared relative constraint
+    gaps fall below inner_tol; the returned iterate is projected onto the
+    measurement ball.
     """
     cfg = cfg or SolverConfig()
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    x, trace = _iterate("tnnr_admmap", _admmap_steps, a, b, pair, cfg, delta)
-    return project_ball(a, x, b, delta), trace
+    x, trace = _iterate("tnnr_admmap", _admmap_steps, a, b, pair, cfg)
+    return project_ball(a, x, b, cfg.delta), trace
 
 
 INNER_SOLVERS = ("admm", "apgl", "admmap")
@@ -310,11 +299,11 @@ INNER_SOLVERS = ("admm", "apgl", "admmap")
 
 def _run_inner(name: str, a: LinearMap, b, pair: TruncationPair, cfg: SolverConfig):
     if name == "admm":
-        return tnnr_admm(a, b, pair, cfg.delta, cfg)
+        return tnnr_admm(a, b, pair, cfg)
     if name == "apgl":
-        return tnnr_apgl(a, b, pair, cfg.mu, cfg)
+        return tnnr_apgl(a, b, pair, cfg)
     if name == "admmap":
-        return tnnr_admmap(a, b, pair, cfg.delta, cfg)
+        return tnnr_admmap(a, b, pair, cfg)
     raise ValueError(f"unknown inner solver {name!r}, expected one of {INNER_SOLVERS}")
 
 

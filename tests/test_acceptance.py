@@ -180,8 +180,8 @@ def test_criterion_7_cross_solver_agreement():
         spec = SyntheticSpec(40, 40, 2, 0.7, 0.5, seed)
         x_star, a, b = synth_lowrank(spec, kind="mask")
         pair = truncation_pair(x_star, 2)
-        x1, t1 = tnnr_admm(a, b, pair, 0.0, cfg)
-        x2, t2 = tnnr_admmap(a, b, pair, 0.0, cfg)
+        x1, t1 = tnnr_admm(a, b, pair, cfg)
+        x2, t2 = tnnr_admmap(a, b, pair, cfg)
         o1, o2 = objective(x1, pair), objective(x2, pair)
         worst = max(worst, abs(o1 - o2) / abs(o1))
         iters_admm.append(t1.total_inner_iters)

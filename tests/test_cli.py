@@ -113,6 +113,42 @@ class TestSmallShapesAndAdjust:
         assert "config field 'adjust'" in capsys.readouterr().err
 
 
+class TestOperatorFieldsOutsideTheirUse:
+    """Operator files outside `complete`, and keep_dc with the mask operator,
+    fail before any solve instead of being ignored."""
+
+    def test_config_file_mask_file_in_compare(self, tmp_path, capsys):
+        from tnnr.operators import SamplingMask
+
+        SamplingMask.random(3, 3, 0.5, 0).to_file(tmp_path / "mask.txt")
+        config = tmp_path / "c.txt"
+        config.write_text(f"operator = mask\nmask_file = {tmp_path / 'mask.txt'}\n")
+        out = tmp_path / "o"
+        code = main(["compare", "--config", str(config), "--m", "20", "--n", "20",
+                     "--rank", "2", "--out", str(out)])
+        assert code == 2
+        assert "config field 'mask_file'" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    def test_config_file_keep_file_in_dct_synth(self, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text(f"keep_file = {tmp_path / 'missing.txt'}\n")
+        code = main(["dct-synth", "--config", str(config), "--m", "10", "--n", "10",
+                     "--rank", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config field 'keep_file'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare", "complete"])
+    def test_keep_dc_with_mask_operator(self, tmp_path, capsys, command):
+        inputs = (["--image", str(make_test_image(tmp_path / "in.pgm", color=False))]
+                  if command == "complete" else ["--m", "10", "--n", "10", "--rank", "1"])
+        out = tmp_path / "o"
+        code = main([command, *inputs, "--operator", "mask", "--keep-dc", "--out", str(out)])
+        assert code == 2
+        assert "config field 'keep_dc'" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def compare_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("cmp")

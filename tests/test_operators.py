@@ -86,6 +86,36 @@ class TestPartialDct2D:
             PartialDct2D(3, 3, [1, 1, 2])
 
 
+class TestIndexFiles:
+    """Both operators share one index-file reader and writer."""
+
+    @pytest.mark.parametrize("op, text", [
+        (SamplingMask(2, 3, [1], [2]), "2 3 1\n1 2\n"),
+        (PartialDct2D(2, 3, [4]), "2 3 1\n4\n"),
+        (PartialDct2D(2, 3, [5, 0]), "2 3 2\n5\n0\n"),
+    ])
+    def test_bytes_and_round_trip(self, tmp_path, op, text):
+        path = tmp_path / "op.txt"
+        op.to_file(path)
+        assert path.read_text() == text
+        loaded = type(op).from_file(path)
+        x = np.arange(6.0).reshape(2, 3)
+        assert loaded.shape == op.shape
+        assert np.array_equal(loaded.apply(x), op.apply(x))
+
+    @pytest.mark.parametrize("cls, kind, text", [
+        (SamplingMask, "mask", "3 3 2\n0 0\n"),
+        (SamplingMask, "mask", "3 3\n0 0\n"),
+        (PartialDct2D, "DCT-keep", "3 3 3\n0\n4\n"),
+        (PartialDct2D, "DCT-keep", "3 3 1\n0 4\n"),
+    ])
+    def test_bad_file_names_its_kind(self, tmp_path, cls, kind, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"bad {kind} file .*bad.txt"):
+            cls.from_file(path)
+
+
 @pytest.mark.parametrize("kind", ["mask", "dct"])
 class TestTightFrameIdentities:
     def test_adjoint_identity(self, kind):

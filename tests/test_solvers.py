@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,6 +9,10 @@ from tnnr.linalg import TruncationPair, nuclear_norm, shrink, truncated_nuclear_
 from tnnr.metrics import relative_error
 from tnnr.operators import SamplingMask, project_ball
 from tnnr.solvers import (
+    BETA_MAX,
+    EPS_ADAPT,
+    GAMMA,
+    RHO0,
     SolverConfig,
     SolverDivergence,
     _admm_steps,
@@ -39,24 +44,25 @@ def instance(m, n, r, sr, std, seed, kind="mask"):
     return synth_lowrank(spec, kind=kind)
 
 
-def steps_of(name, a, b, pair, param, cfg):
+def steps_of(name, a, b, pair, cfg):
     """A solver's step generator, started as the solver starts it."""
-    return SOLVERS[name][1](a, b, pair.correction(), a.adjoint(b), cfg, param)
+    return SOLVERS[name][1](a, b, pair.correction(), a.adjoint(b), cfg)
 
 
-def iterates(name, a, b, pair, param, cfg):
+def iterates(name, a, b, pair, cfg):
     """Solve, then drive the solver's step generator for as many iterations
     as the solve ran. Returns x, the trace and one dict per iteration with
     the yielded X, penalty and iterates."""
-    x, trace = SOLVERS[name][0](a, b, pair, param, cfg)
-    steps = itertools.islice(steps_of(name, a, b, pair, param, cfg), len(trace.k))
+    x, trace = SOLVERS[name][0](a, b, pair, cfg)
+    steps = itertools.islice(steps_of(name, a, b, pair, cfg), len(trace.k))
     return x, trace, [dict(state, X=x_k, beta=beta) for x_k, _, _, beta, state in steps]
 
 
-def admmap_iterates(a, b, pair, delta, cfg):
+def admmap_iterates(a, b, pair, cfg):
     """`iterates` for tnnr_admmap, with z11, z22 and xi as each iteration
     found them: the previous yield's, or the initial values for the first."""
-    x, trace, snaps = iterates("admmap", a, b, pair, delta, cfg)
+    x, trace, snaps = iterates("admmap", a, b, pair, cfg)
+    delta = cfg.delta
     if delta > 0:
         v = a.apply(a.adjoint(b)) - b
         nv = float(np.linalg.norm(v))
@@ -76,13 +82,30 @@ class TestSolverConfig:
         SolverConfig()
 
     @pytest.mark.parametrize("kwargs", [
-        {"beta": 0.0}, {"gamma": 2.0}, {"mu": -1.0}, {"delta": -0.1},
-        {"inner_tol": 0.0}, {"rho0": 0.5}, {"max_inner_iters": 0},
-        {"beta_max": 1e-9},
+        {"beta": 0.0}, {"beta": 2e6}, {"mu": -1.0}, {"delta": -0.1},
+        {"inner_tol": 0.0}, {"max_inner_iters": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_checked_settings_cannot_change(self):
+        cfg = SolverConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.delta = -1.0
+
+    @pytest.mark.parametrize("name, setting", [("admm", "delta"), ("apgl", "mu"),
+                                               ("admmap", "delta")])
+    def test_config_alone_sets_the_model(self, name, setting):
+        # the solvers take delta and mu from the config, with no other source
+        x_star, a, b = instance(10, 10, 2, 0.7, 0.3, 17, kind="dct")
+        pair = truncation_pair(x_star, 2)
+        value = 0.3 * np.sqrt(a.p) if setting == "delta" else 3.0
+        x_default, _ = SOLVERS[name][0](a, b, pair, SolverConfig())
+        x, _ = SOLVERS[name][0](a, b, pair, SolverConfig(**{setting: value}))
+        assert not np.array_equal(x, x_default)
+        if setting == "delta":
+            assert np.linalg.norm(a.apply(x) - b) <= value * (1 + 1e-9)
 
 
 class TestObjective:
@@ -109,40 +132,40 @@ class TestAdmm:
         data = 10 * rng.standard_normal((8, 8))
         a = full_mask(8, 8)
         b = a.apply(data)
-        x, trace = tnnr_admm(a, b, TruncationPair.empty(8, 8), 0.0, SolverConfig())
+        x, trace = tnnr_admm(a, b, TruncationPair.empty(8, 8), SolverConfig())
         assert relative_error(x, data) <= 1e-6
         assert trace.converged
 
     def test_rank1_completion_with_true_pair(self):
         x_star, a, b = instance(5, 5, 1, 0.8, 0.0, 0)
         pair = truncation_pair(x_star, 1)
-        x, _ = tnnr_admm(a, b, pair, 0.0, SolverConfig(inner_tol=1e-8))
+        x, _ = tnnr_admm(a, b, pair, SolverConfig(inner_tol=1e-8))
         assert relative_error(x, x_star) <= 1e-2
 
     def test_equality_feasibility(self):
         x_star, a, b = instance(12, 10, 2, 0.6, 0.0, 1)
-        x, _ = tnnr_admm(a, b, truncation_pair(x_star, 2), 0.0, SolverConfig())
+        x, _ = tnnr_admm(a, b, truncation_pair(x_star, 2), SolverConfig())
         assert np.linalg.norm(a.apply(x) - b) <= 1e-3 * np.linalg.norm(b)
 
     def test_ball_feasibility(self):
         x_star, a, b = instance(12, 12, 2, 0.6, 0.4, 2, kind="dct")
         delta = 0.4 * np.sqrt(a.p)
-        x, _ = tnnr_admm(a, b, truncation_pair(x_star, 2), delta, SolverConfig())
+        x, _ = tnnr_admm(a, b, truncation_pair(x_star, 2), SolverConfig(delta=delta))
         assert np.linalg.norm(a.apply(x) - b) <= delta * (1 + 1e-3)
 
     def test_multiplier_update_is_exact(self):
         x_star, a, b = instance(8, 8, 2, 0.7, 0.1, 3)
         cfg = SolverConfig(max_inner_iters=40)
-        _, _, snaps = iterates("admm", a, b, truncation_pair(x_star, 2), 0.0, cfg)
+        _, _, snaps = iterates("admm", a, b, truncation_pair(x_star, 2), cfg)
         z_prev = a.adjoint(b)  # initial multiplier is the data matrix
         for snap in snaps:
-            step = cfg.gamma * cfg.beta * (snap["X"] - snap["Y"])
+            step = GAMMA * cfg.beta * (snap["X"] - snap["Y"])
             assert np.array_equal(z_prev - step, snap["Z"])
             z_prev = snap["Z"]
 
     def test_primal_gap_small_at_termination(self):
         x_star, a, b = instance(15, 15, 3, 0.6, 0.0, 4)
-        _, _, snaps = iterates("admm", a, b, truncation_pair(x_star, 3), 0.0, SolverConfig())
+        _, _, snaps = iterates("admm", a, b, truncation_pair(x_star, 3), SolverConfig())
         last = snaps[-1]
         data_norm = np.linalg.norm(b)
         assert np.linalg.norm(last["X"] - last["Y"], "fro") <= 1e-2 * data_norm
@@ -150,7 +173,7 @@ class TestAdmm:
     def test_negative_delta_rejected(self):
         a = full_mask(3, 3)
         with pytest.raises(ValueError):
-            tnnr_admm(a, np.zeros(9), TruncationPair.empty(3, 3), -1.0)
+            tnnr_admm(a, np.zeros(9), TruncationPair.empty(3, 3), SolverConfig(delta=-1.0))
 
     def test_matches_convex_solver_optimum(self):
         # independent oracle: the same convex program solved by cvxpy/SCS
@@ -162,7 +185,7 @@ class TestAdmm:
         truth = rng.standard_normal((16, 16)) + np.outer(np.arange(16.0), np.ones(16))
         a = PartialDct2D.random(16, 16, 0.7, 5)
         b = a.apply(truth)
-        x_admm, _ = tnnr_admm(a, b, TruncationPair.empty(16, 16), 0.0,
+        x_admm, _ = tnnr_admm(a, b, TruncationPair.empty(16, 16),
                               SolverConfig(inner_tol=1e-10, max_inner_iters=30000))
 
         d1 = sfft.dct(np.eye(16), norm="ortho", axis=0)
@@ -188,7 +211,7 @@ class TestAdmm:
         rng = np.random.default_rng(5)
         b = rng.standard_normal(12)
         with pytest.raises(SolverDivergence) as info:
-            tnnr_admm(broken, b, TruncationPair.empty(4, 4), 0.0, SolverConfig())
+            tnnr_admm(broken, b, TruncationPair.empty(4, 4), SolverConfig())
         assert info.value.trace.total_inner_iters > 0
 
 
@@ -232,7 +255,7 @@ class TestApgl:
         a = full_mask(10, 10)
         b = a.apply(data)
         mu = 0.8
-        x, _ = tnnr_apgl(a, b, TruncationPair.empty(10, 10), mu, SolverConfig(inner_tol=1e-12))
+        x, _ = tnnr_apgl(a, b, TruncationPair.empty(10, 10), SolverConfig(mu=mu, inner_tol=1e-12))
         expected = shrink(data, 1.0 / mu)
         assert np.linalg.norm(x - expected, "fro") <= 1e-8 * np.linalg.norm(expected, "fro")
 
@@ -241,7 +264,7 @@ class TestApgl:
         x_star, a, b = instance(10, 10, 2, 0.6, 0.3, 8)
         pair = truncation_pair(x_star, 2)
         mu = 1.5
-        _, _, snaps = iterates("apgl", a, b, pair, mu, SolverConfig(max_inner_iters=60))
+        _, _, snaps = iterates("apgl", a, b, pair, SolverConfig(mu=mu, max_inner_iters=60))
 
         def total(x):
             return objective(x, pair) + 0.5 * mu * np.linalg.norm(a.apply(x) - b) ** 2
@@ -254,7 +277,7 @@ class TestApgl:
     def test_nonpositive_mu_rejected(self):
         a = full_mask(3, 3)
         with pytest.raises(ValueError):
-            tnnr_apgl(a, np.zeros(9), TruncationPair.empty(3, 3), 0.0)
+            tnnr_apgl(a, np.zeros(9), TruncationPair.empty(3, 3), SolverConfig(mu=0.0))
 
 
 class TestQOperators:
@@ -293,7 +316,7 @@ class TestQOperators:
 class TestAdmmap:
     def test_equality_mode_keeps_slack_zero_and_feasible(self):
         x_star, a, b = instance(10, 10, 2, 0.7, 0.0, 4)
-        x, _, snaps = admmap_iterates(a, b, truncation_pair(x_star, 2), 0.0, SolverConfig())
+        x, _, snaps = admmap_iterates(a, b, truncation_pair(x_star, 2), SolverConfig())
         for snap in snaps:
             assert np.all(snap["xi"] == 0.0)
         assert np.linalg.norm(a.apply(x) - b) <= 1e-3 * np.linalg.norm(b)
@@ -301,7 +324,7 @@ class TestAdmmap:
     def test_ball_mode_slack_stays_in_ball(self):
         x_star, a, b = instance(10, 10, 2, 0.7, 0.3, 5, kind="dct")
         delta = 0.3 * np.sqrt(a.p)
-        x, _, snaps = admmap_iterates(a, b, truncation_pair(x_star, 2), delta, SolverConfig())
+        x, _, snaps = admmap_iterates(a, b, truncation_pair(x_star, 2), SolverConfig(delta=delta))
         for snap in snaps[1:]:
             assert np.linalg.norm(snap["xi"]) <= delta * (1 + 1e-12)
         assert np.linalg.norm(a.apply(x) - b) <= delta * (1 + 1e-3)
@@ -310,8 +333,8 @@ class TestAdmmap:
         x_star, a, b = instance(20, 20, 2, 0.7, 0.5, 6)
         pair = truncation_pair(x_star, 2)
         cfg = SolverConfig(inner_tol=1e-6, max_inner_iters=20000)
-        x1, t1 = tnnr_admm(a, b, pair, 0.0, cfg)
-        x2, t2 = tnnr_admmap(a, b, pair, 0.0, cfg)
+        x1, t1 = tnnr_admm(a, b, pair, cfg)
+        x2, t2 = tnnr_admmap(a, b, pair, cfg)
         o1, o2 = objective(x1, pair), objective(x2, pair)
         assert abs(o1 - o2) / abs(o1) <= 0.01
         assert t2.total_inner_iters < t1.total_inner_iters
@@ -322,8 +345,8 @@ class TestAdmmap:
         x_star, a, b = instance(5, 5, 1, 0.8, 0.0, 1)
         pair = truncation_pair(x_star, 1)
         cfg = SolverConfig(inner_tol=1e-8, max_inner_iters=20000)
-        x1, _ = tnnr_admm(a, b, pair, 0.0, cfg)
-        x2, _ = tnnr_admmap(a, b, pair, 0.0, cfg)
+        x1, _ = tnnr_admm(a, b, pair, cfg)
+        x2, _ = tnnr_admmap(a, b, pair, cfg)
         o1, o2 = objective(x1, pair), objective(x2, pair)
         assert abs(o1 - o2) <= 0.01 * nuclear_norm(x1)
 
@@ -335,7 +358,7 @@ class TestAdmmap:
             pair = truncation_pair(x_star, 2)
             g = pair.correction()
             delta = delta_scale * 0.2 * np.sqrt(a.p)
-            _, _, snaps = admmap_iterates(a, b, pair, delta, SolverConfig(max_inner_iters=60))
+            _, _, snaps = admmap_iterates(a, b, pair, SolverConfig(delta=delta, max_inner_iters=60))
             for snap in snaps:
                 beta = snap["beta"]
                 y = snap["Y"]
@@ -348,16 +371,16 @@ class TestAdmmap:
     def test_adaptive_penalty_follows_rule(self):
         x_star, a, b = instance(10, 10, 2, 0.6, 0.2, 8, kind="dct")
         delta = 0.2 * np.sqrt(a.p)
-        cfg = SolverConfig(max_inner_iters=80)
-        _, _, snaps = admmap_iterates(a, b, truncation_pair(x_star, 2), delta, cfg)
+        cfg = SolverConfig(delta=delta, max_inner_iters=80)
+        _, _, snaps = admmap_iterates(a, b, truncation_pair(x_star, 2), cfg)
         x_prev, y_prev = a.adjoint(b), a.adjoint(b)
         for i, snap in enumerate(snaps[:-1]):
             step = max(np.linalg.norm(snap["X"] - x_prev, "fro"),
                        np.linalg.norm(snap["Y"] - y_prev, "fro"))
             c_norm = np.linalg.norm(b + snaps[i + 1]["xi"])
             cond = snap["beta"] * step / c_norm
-            expected = cfg.rho0 if cond < cfg.eps_adapt else 1.0
-            assert snaps[i + 1]["beta"] == min(cfg.beta_max, expected * snap["beta"])
+            expected = RHO0 if cond < EPS_ADAPT else 1.0
+            assert snaps[i + 1]["beta"] == min(BETA_MAX, expected * snap["beta"])
             x_prev, y_prev = snap["X"], snap["Y"]
 
 
@@ -369,11 +392,10 @@ class TestStepGenerators:
         x_star, a, b = instance(10, 10, 2, 0.7, std, 9, kind=kind)
         pair = truncation_pair(x_star, 2)
         delta = std * np.sqrt(a.p)
-        param = 1.0 if name == "apgl" else delta
-        cfg = SolverConfig(max_inner_iters=cap)
-        x, trace = SOLVERS[name][0](a, b, pair, param, cfg)
+        cfg = SolverConfig(delta=delta, max_inner_iters=cap)  # apgl reads mu, not delta
+        x, trace = SOLVERS[name][0](a, b, pair, cfg)
         yielded, copies = [], []
-        for item in itertools.islice(steps_of(name, a, b, pair, param, cfg), len(trace.k)):
+        for item in itertools.islice(steps_of(name, a, b, pair, cfg), len(trace.k)):
             arrays = [v for v in (*item[:2], *item[4].values()) if isinstance(v, np.ndarray)]
             yielded.append(arrays)
             copies.append([v.copy() for v in arrays])
