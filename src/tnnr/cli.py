@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import SyntheticSpec, load_image, save_image, stream_rng, synth_lowrank
+from .linalg import _numpy_blas_functions
 from .metrics import psnr, relative_error
 from .operators import PartialDct2D, SamplingMask
 from .solvers import (
@@ -94,6 +95,8 @@ class ExperimentConfig:
             fail("solver", f"must be one of {INNER_SOLVERS}, got {self.solver!r}")
         if self.trials < 1:
             fail("trials", "must be >= 1")
+        if self.delta is not None and self.solver == "apgl":
+            fail("delta", "the apgl solver has no measurement ball; it weighs the data fit by mu")
         if self.command == "complete":
             if not self.image:
                 fail("image", "the complete command requires an image path")
@@ -207,28 +210,16 @@ def _worker_count(trials: int) -> int:
     return max(1, min(trials, limit))
 
 
-_OPENBLAS_THREAD_CONTROLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
 def _openblas_thread_controls():
     """The (get, set) thread-count functions of the OpenBLAS that numpy.linalg
-    loaded, or None when that library exports neither known pair. dlsym on
-    the extension module's handle searches the libraries it links."""
-    try:
-        from numpy.linalg import _umath_linalg
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except (ImportError, AttributeError, OSError):
+    loaded, or None when that library exports no such pair."""
+    found = _numpy_blas_functions("openblas_get_num_threads", "openblas_set_num_threads")
+    if found is None:
         return None
-    for get_name, set_name in _OPENBLAS_THREAD_CONTROLS:
-        get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
+    (get, put), _ = found
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 @contextlib.contextmanager
@@ -308,6 +299,7 @@ def _trial(cfg: ExperimentConfig, seed: int, a, channels, delta: float, score, f
     recoveries."""
     m, n = a.shape
     solver_cfg = _solver_config(cfg, delta)
+    penalized = cfg.solver == "apgl"
     kappa = _sve_config(cfg).resolve_kappa(m, n)
     methods = ["lrisd"] if cfg.command in ("dct-synth", "sve-trace") else ["lr", "lrisd"]
     if cfg.adjust is not None:
@@ -340,7 +332,9 @@ def _trial(cfg: ExperimentConfig, seed: int, a, channels, delta: float, score, f
         metrics.append(_metrics_row(
             experiment=cfg.command, seed=seed, method=method, operator=cfg.operator,
             solver=cfg.solver, m=m, n=n, true_r=true_r, sr=cfg.sr, std=cfg.std, kappa=kappa,
-            delta=delta, mu=cfg.mu, rank_recovered=int(np.median(ranks)), stages=stages,
+            # only the setting the solver reads: mu for apgl, delta for the others
+            delta=None if penalized else delta, mu=cfg.mu if penalized else None,
+            rank_recovered=int(np.median(ranks)), stages=stages,
             inner_iters=iters, reer=relative_error(np.hstack(xs), truths)))
         timings.append((cfg.command, seed, method, elapsed))
         recovered[method] = xs

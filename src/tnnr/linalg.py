@@ -1,6 +1,9 @@
 """Dense SVD utilities: singular value shrinkage, truncated nuclear norms,
-and truncation pairs built from the leading singular vectors."""
+and truncation pairs built from the leading singular vectors; also the
+lookup of functions in the OpenBLAS that numpy.linalg loaded."""
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +39,88 @@ def _dense_shrink(x: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     return (u * s2) @ vt, s2
 
 
-def _shrink_factors(x: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+# Symbol name schemes of the OpenBLAS builds numpy.linalg links, each with
+# the integer type of its LAPACK interface: the ILP64 scipy-openblas of
+# numpy's wheels, then a plain OpenBLAS, whose width its names do not tell.
+_BLAS_NAME_SCHEMES = (("scipy_{}64_", ctypes.c_int64), ("{}", None))
+
+
+def _numpy_blas_functions(*names):
+    """The functions `names`, spelled as in a plain OpenBLAS (for example
+    "openblas_set_num_threads" or "LAPACKE_dsyevr"), from the OpenBLAS that
+    numpy.linalg loaded. Returns them with the LAPACK integer type of the
+    first name scheme that exports them all (None where the scheme does not
+    fix it), or None when no scheme does. dlsym on the extension module's
+    handle searches the libraries it links."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for scheme, lapack_int in _BLAS_NAME_SCHEMES:
+        found = [getattr(lib, scheme.format(name), None) for name in names]
+        if all(f is not None for f in found):
+            return found, lapack_int
+    return None
+
+
+_LAPACK_COL_MAJOR = 102
+
+
+@functools.cache
+def _syevr():
+    """LAPACKE_dsyevr of numpy's OpenBLAS with its integer type, or None
+    where numpy's build exports it under no name that fixes that type."""
+    found = _numpy_blas_functions("LAPACKE_dsyevr")
+    if found is None or found[1] is None:
+        return None
+    (fn,), i = found
+    real, ptr, char = ctypes.c_double, ctypes.c_void_p, ctypes.c_char
+    fn.argtypes = [ctypes.c_int, char, char, char, i, ptr, i, real, real, i, i, real,
+                   ctypes.POINTER(i), ptr, ptr, i, ptr]
+    fn.restype = i
+    return fn, i
+
+
+def _eigenpairs_above(syevr, gram: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of the symmetric Gram matrix above floor, ascending,
+    and their eigenvectors as columns, from LAPACK dsyevr (RANGE = 'V'): its
+    cost grows with their count instead of with the order of gram. gram is
+    overwritten."""
+    fn, lapack_int = syevr
+    gram = np.require(gram, np.float64, ["C", "W"])  # what the pointer below assumes
+    n = gram.shape[0]
+    if gram.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {gram.shape}")
+    # every eigenvalue of a Gram matrix lies in [0, trace]; the doubled trace
+    # leaves room for rounding. dsyevr rejects an empty range (info = -9).
+    top = 2.0 * float(np.trace(gram))
+    if floor >= top:
+        return np.empty(0), np.empty((n, 0))
+    w = np.empty(n)
+    z = np.empty((n, n))  # column-major, leading dimension n: row i is vector i
+    support = np.empty(2 * n, dtype=lapack_int)
+    found = lapack_int(0)
+    # gram is symmetric and C-contiguous, so it is also its column-major self
+    info = fn(_LAPACK_COL_MAJOR, b"V", b"V", b"L", n, gram.ctypes.data, n, floor, top,
+              0, 0, 0.0, ctypes.byref(found), w.ctypes.data, z.ctypes.data, n,
+              support.ctypes.data)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACKE_dsyevr failed with info = {info}")
+    k = found.value
+    return w[:k], z[:k].T
+
+
+# The shrink computes only the eigenpairs above the threshold when the
+# previous shrink of the same solve kept at most min(m, n) // SUBSET_DIVISOR
+# singular values, and every eigenpair otherwise: dsyevr's cost grows with
+# the kept count and passes eigh's between an eighth and a fifth of the
+# order (README).
+SUBSET_DIVISOR = 8
+
+
+def _shrink_factors(x: np.ndarray, tau: float,
+                    prev: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Soft-threshold the singular values of x by tau; also return the
     thresholded values (the singular values of the result), nonincreasing and
     padded with zeros to min(m, n).
@@ -48,6 +132,12 @@ def _shrink_factors(x: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     resolves sigma_i^2 to about eps * sigma_1^2, so the result is accurate to
     about eps * sigma_1 / tau relative to sigma_1; below tau = 1e-6 * sigma_1
     (tau = 0 included) the dense SVD is used instead.
+
+    `prev`, the thresholded values the previous shrink of the same solve
+    returned, chooses the eigensolver: when it kept few values, only the
+    eigenpairs above the threshold are computed (`_eigenpairs_above`, where
+    numpy's OpenBLAS exports dsyevr); otherwise, and without `prev`, all of
+    them (`numpy.linalg.eigh`).
     """
     m, n = x.shape
     q = min(m, n)
@@ -57,8 +147,14 @@ def _shrink_factors(x: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     xs = x / c
     t = tau / c
     wide = m < n
-    w, v = np.linalg.eigh(xs @ xs.T if wide else xs.T @ xs)
-    if t * t < 1e-12 * w[-1]:
+    gram = xs @ xs.T if wide else xs.T @ xs
+    few = prev is not None and np.count_nonzero(prev) <= q // SUBSET_DIVISOR
+    syevr = _syevr() if few else None
+    if syevr is None:
+        w, v = np.linalg.eigh(gram)
+    else:
+        w, v = _eigenpairs_above(syevr, gram, t * t)
+    if w.size and t * t < 1e-12 * w[-1]:
         return _dense_shrink(x, tau)
     j = int(np.searchsorted(w, t * t, side="right"))
     s2 = np.zeros(q)

@@ -153,7 +153,9 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
     x0. (Sharing x0 would be as correct, but the changed heap layout made
     glibc trim and refault the 300x300 temporaries of admm every iteration.) Once per iteration it yields the new X, its
     thresholded singular values, the squared constraint gap (0 for a model
-    without one), the penalty in use and a dict of its other iterates. The
+    without one), the penalty in use and a dict of its other iterates. Each
+    shrink is handed the thresholded values of the one before it in the same
+    generator, from which `_shrink_factors` picks its eigensolver. The
     loop records the trace row, guards against divergence and stops once both
     the squared relative X-change and the gap, each divided by ||b||^2, fall
     below inner_tol, or at max_inner_iters. Returns the last X.
@@ -183,8 +185,9 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
 
 def _admm_steps(a, b, g, x, cfg):
     y, z = x.copy(), x.copy()
+    s_shrunk = None
     while True:
-        x_new, s_shrunk = _shrink_factors(y + z / cfg.beta, 1.0 / cfg.beta)
+        x_new, s_shrunk = _shrink_factors(y + z / cfg.beta, 1.0 / cfg.beta, s_shrunk)
         y = project_ball(a, x_new + (g - z) / cfg.beta, b, cfg.delta)
         z = z - GAMMA * cfg.beta * (x_new - y)
         gap = float(np.linalg.norm(x_new - y, "fro") ** 2)
@@ -213,9 +216,10 @@ def tnnr_admm(a: LinearMap, b, pair: TruncationPair,
 def _apgl_steps(a, b, g, x, cfg):
     step = 1.0 / cfg.mu
     y, tau = x.copy(), 1.0
+    s_shrunk = None
     while True:
         grad = -g + cfg.mu * a.adjoint(a.apply(y) - b)
-        x_new, s_shrunk = _shrink_factors(y - step * grad, step)
+        x_new, s_shrunk = _shrink_factors(y - step * grad, step, s_shrunk)
         tau_new = momentum_step(tau)
         y = x_new + ((tau - 1.0) / tau_new) * (x_new - x)
         yield x_new, s_shrunk, 0.0, cfg.mu, {"Y": y, "tau": tau_new}
@@ -248,8 +252,9 @@ def _admmap_steps(a, b, g, x, cfg):
         xi = v * (delta / nv) if nv > delta else v
     else:
         xi = np.zeros(a.p)
+    s_shrunk = None
     while True:
-        x_new, s_shrunk = _shrink_factors(y + z11 / beta, 1.0 / beta)
+        x_new, s_shrunk = _shrink_factors(y + z11 / beta, 1.0 / beta, s_shrunk)
         # closed form for (I + A*A) Y = X + (L^T R - z11)/beta + A*(b + xi + z22/beta)
         h = g - z11
         y_new = (x_new + h / beta

@@ -75,6 +75,9 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="mask_file"):
             ExperimentConfig(command="compare", m=10, n=10, rank=1,
                              operator="dct", mask_file="m.txt").validate()
+        with pytest.raises(ValueError, match="delta"):
+            ExperimentConfig(command="compare", m=10, n=10, rank=1,
+                             solver="apgl", delta=0.5).validate()
 
 
 class TestSmallShapesAndAdjust:
@@ -146,6 +149,38 @@ class TestOperatorFieldsOutsideTheirUse:
         code = main([command, *inputs, "--operator", "mask", "--keep-dc", "--out", str(out)])
         assert code == 2
         assert "config field 'keep_dc'" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+
+class TestSolverSettingsOutsideTheirUse:
+    """metrics.csv names only the setting the solver read, delta or mu, and
+    a ball radius given to apgl fails before any solve."""
+
+    SMALL = ["--m", "12", "--n", "12", "--rank", "1", "--sr", "0.7", "--std", "0.1",
+             "--max-inner-iters", "50"]
+
+    @pytest.mark.parametrize("solver", ["admm", "apgl", "admmap"])
+    def test_metrics_leave_the_unread_setting_empty(self, tmp_path, solver):
+        out = tmp_path / "o"
+        assert main(["compare", "--solver", solver, "--mu", "7", *self.SMALL,
+                     "--out", str(out)]) == 0
+        rows = read_csv(out / "metrics.csv")
+        assert len(rows) == 2
+        for row in rows:
+            if solver == "apgl":
+                assert row["delta"] == "" and float(row["mu"]) == 7.0
+            else:  # the noisy run's ball radius, std * sqrt(p)
+                assert float(row["delta"]) == pytest.approx(0.1 * np.sqrt(101))
+                assert row["mu"] == ""
+
+    @pytest.mark.parametrize("via_file", [False, True])
+    def test_apgl_rejects_a_ball_radius(self, tmp_path, capsys, via_file):
+        config = tmp_path / "c.txt"
+        config.write_text("solver = apgl\ndelta = 50\n")
+        given = ["--config", str(config)] if via_file else ["--solver", "apgl", "--delta", "50"]
+        out = tmp_path / "o"
+        assert main(["compare", *given, *self.SMALL, "--out", str(out)]) == 2
+        assert "config field 'delta'" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
 

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tnnr import linalg
 from tnnr.linalg import (
     TruncationPair,
     _shrink_factors,
@@ -121,9 +124,24 @@ def assert_close_or_zero(got, ref, what):
         assert err <= 1e-10, f"{what}: relative error {err:.2e}"
 
 
-def assert_matches_dense(x, tau, what=""):
+def _without_syevr(x, tau):
+    with mock.patch.object(linalg, "_syevr", lambda: None):
+        return _shrink_factors(x, tau, np.zeros(1))
+
+
+# The three eigensolver routes of the shrink. A previous shrink that kept
+# nothing asks for the subset route; "fallback" asks for it where numpy's
+# OpenBLAS exports no dsyevr, which runs the full route.
+ROUTES = {
+    "subset": lambda x, tau: _shrink_factors(x, tau, np.zeros(1)),
+    "full": lambda x, tau: _shrink_factors(x, tau),
+    "fallback": _without_syevr,
+}
+
+
+def assert_matches_dense(x, tau, route, what=""):
     ref_out, ref_vals = dense_shrink_reference(x, tau)
-    out, vals = _shrink_factors(x, tau)
+    out, vals = ROUTES[route](x, tau)
     assert out.shape == x.shape and vals.shape == (min(x.shape),)
     assert np.all(np.diff(vals) <= 0) and np.all(vals >= 0)
     assert_close_or_zero(out, ref_out, f"{what} matrix")
@@ -151,12 +169,14 @@ def shrink_input(kind, shape, rng):
     return (u * s) @ v.T
 
 
+@pytest.mark.parametrize("route", ROUTES)
 class TestShrinkMatchesDenseSvd:
-    """The Gram-eigendecomposition shrink against a dense SVD computed here."""
+    """The Gram-eigendecomposition shrink, on each eigensolver route, against
+    a dense SVD computed here."""
 
     @pytest.mark.parametrize("shape", [(7, 4), (4, 7), (6, 6), (1, 6), (6, 1)])
     @pytest.mark.parametrize("kind", ["full", "rank_deficient", "zero", "repeated"])
-    def test_equivalence(self, shape, kind):
+    def test_equivalence(self, shape, kind, route):
         rng = np.random.default_rng(20)
         base = shrink_input(kind, shape, rng)
         s1 = float(np.linalg.norm(base, 2))
@@ -166,20 +186,38 @@ class TestShrinkMatchesDenseSvd:
             # ratios; 1e-7 lies below the 1e-6 switch to the dense SVD
             for rel in (0.0, 1.5, 0.5, 1e-3, 1e-7):
                 tau = rel * s1 * scale
-                assert_matches_dense(x, tau, f"{kind} {shape} tau/s1={rel} scale={scale:g}")
+                assert_matches_dense(x, tau, route,
+                                     f"{kind} {shape} tau/s1={rel} scale={scale:g}")
             if kind != "zero":
                 # tau = sigma_1 is a tie: both routes leave only rounding,
                 # so compare the result with the input instead
-                out, vals = _shrink_factors(x, s1 * scale)
+                out, vals = ROUTES[route](x, s1 * scale)
                 assert rel_diff(out, 0.0, x) <= 1e-10
                 assert rel_diff(vals, 0.0, np.linalg.svd(x, compute_uv=False)) <= 1e-10
 
-    def test_tau_equal_to_an_interior_singular_value(self):
+    def test_tau_equal_to_an_interior_singular_value(self, route):
         # singular values 3, 3, 3, 2, 5/3, 1, 1: tau hits a simple value and
         # the repeated pair at the bottom
         x = shrink_input("repeated", (9, 7), np.random.default_rng(21))
-        assert_matches_dense(x, 2.0)
-        assert_matches_dense(x, 1.0)
+        assert_matches_dense(x, 2.0, route)
+        assert_matches_dense(x, 1.0, route)
+
+    @pytest.mark.parametrize("shape", [(9, 7), (7, 9)])
+    def test_tau_squared_midway_between_two_gram_eigenvalues(self, shape, route):
+        # singular values 3, 3, 3, 2, 5/3, 1, 1: tau^2 sits midway between
+        # the Gram eigenvalues 9 and 4, then between 25/9 and 1
+        x = shrink_input("repeated", shape, np.random.default_rng(22))
+        assert_matches_dense(x, np.sqrt((9.0 + 4.0) / 2.0), route)
+        assert_matches_dense(x, np.sqrt((25.0 / 9.0 + 1.0) / 2.0), route)
+
+    @pytest.mark.parametrize("factor", [1.0, np.sqrt(2.0), 1.5, 3.0])
+    def test_tau_squared_at_or_above_the_gram_trace(self, factor, route):
+        # (tau / c)^2 = factor^2 * trace of the scaled Gram matrix: from the
+        # doubled trace (factor >= sqrt(2)) up, dsyevr's range would be empty,
+        # which it rejects (info = -9)
+        x = np.random.default_rng(23).standard_normal((8, 6))
+        out, vals = ROUTES[route](x, factor * np.linalg.norm(x, "fro"))
+        assert np.all(out == 0.0) and np.all(vals == 0.0) and vals.shape == (6,)
 
     # tau near sigma_1 leaves a result of size sigma_1 - tau made of rounding
     # on either route, so log10(tau / sigma_1) keeps 1e-3 away from the tie
@@ -188,13 +226,36 @@ class TestShrinkMatchesDenseSvd:
            seed=st.integers(0, 2**32 - 1),
            log_rel=st.one_of(st.none(), st.floats(-8.0, 0.3).filter(lambda u: abs(u) > 1e-3)),
            log_scale=st.floats(-150.0, 150.0))
-    def test_property_random_shapes_and_tau(self, m, n, rank, seed, log_rel, log_scale):
+    def test_property_random_shapes_and_tau(self, m, n, rank, seed, log_rel, log_scale,
+                                            route):
         rng = np.random.default_rng(seed)
         r = min(rank, m, n)
         x = rng.standard_normal((m, r)) @ rng.standard_normal((r, n)) * 10.0 ** log_scale
         s1 = float(np.linalg.norm(x, 2))
         tau = 0.0 if log_rel is None else s1 * 10.0 ** log_rel
-        assert_matches_dense(x, tau)
+        assert_matches_dense(x, tau, route)
+
+
+class TestEigensolverRoute:
+    def test_numpy_openblas_exports_dsyevr(self):
+        # numpy's scipy-openblas wheels export LAPACKE; a build that loses
+        # the binding would run every shrink on the full route unnoticed
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy's BLAS is {blas.get('name')}, not scipy-openblas")
+        assert linalg._syevr() is not None
+
+    @pytest.mark.parametrize("kept, subset", [(0, True), (4, True), (5, False)])
+    def test_previous_kept_count_chooses_the_route(self, kept, subset):
+        # min(40, 36) // 8 = 4 values kept by the previous shrink, or fewer,
+        # take the subset route; the first shrink of a solve takes the full one
+        x = np.random.default_rng(24).standard_normal((40, 36))
+        prev = np.r_[np.ones(kept), np.zeros(36 - kept)]
+        with mock.patch.object(linalg, "_eigenpairs_above",
+                               wraps=linalg._eigenpairs_above) as partial:
+            _shrink_factors(x, 1.0, prev)
+            _shrink_factors(x, 1.0)
+        assert partial.call_count == int(subset and linalg._syevr() is not None)
 
 
 class TestTruncatedNuclearNorm:

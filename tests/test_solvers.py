@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from tnnr import linalg
 from tnnr.data import SyntheticSpec, synth_lowrank
 from tnnr.linalg import TruncationPair, nuclear_norm, shrink, truncated_nuclear_norm, truncation_pair
 from tnnr.metrics import relative_error
@@ -405,6 +407,36 @@ class TestStepGenerators:
         assert x_last.tobytes() == x.tobytes()
         for arrays, saved in zip(yielded, copies):
             assert all(v.tobytes() == c.tobytes() for v, c in zip(arrays, saved))
+
+
+class TestSubsetEigensolverRoute:
+    """The shrink's subset route against the full `eigh` route on every
+    recorded iterate of a solve that takes it."""
+
+    @pytest.mark.parametrize("name", ["admm", "admmap"])
+    @pytest.mark.parametrize("kind", ["mask", "dct"])
+    def test_iterates_match_the_eigh_route(self, name, kind):
+        if linalg._syevr() is None:
+            pytest.skip("numpy's OpenBLAS exports no dsyevr: every shrink takes eigh")
+        x_star, a, b = instance(64, 64, 3, 0.5, 0.1, 11, kind=kind)
+        pair = truncation_pair(a.adjoint(b), 3)
+        cfg = SolverConfig(delta=0.1 * np.sqrt(a.p))
+        _, trace = SOLVERS[name][0](a, b, pair, cfg)
+        with mock.patch.object(linalg, "_eigenpairs_above",
+                               wraps=linalg._eigenpairs_above) as partial:
+            subset = [item[0] for item in
+                      itertools.islice(steps_of(name, a, b, pair, cfg), len(trace.k))]
+        with mock.patch.object(linalg, "_syevr", lambda: None):
+            full = [item[0] for item in
+                    itertools.islice(steps_of(name, a, b, pair, cfg), len(trace.k))]
+        # most iterations keep at most 64 // 8 values
+        assert partial.call_count > len(trace.k) // 2
+        for k, (got, ref) in enumerate(zip(subset, full), 1):
+            if not ref.any():  # admm's first iterations shrink to exact zeros
+                assert not got.any(), f"iteration {k}: expected exact zeros"
+                continue
+            err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+            assert err <= 1e-8, f"iteration {k}: relative difference {err:.2e}"
 
 
 class TestLrisd:
