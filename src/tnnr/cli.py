@@ -1,6 +1,11 @@
 """Experiment runner: image completion, partial-DCT synthetic recovery, rank
 estimation traces, and baseline-vs-multistage comparisons.
 
+`ExperimentConfig`'s fields are the one table of settings: each declares its
+default, its flag's help and options, and the commands that read it. Each is
+a flag of every experiment command and a config-file key. `validate()` checks
+every field before a run writes anything, the same way from either source.
+
 Every run writes its resolved configuration, a metrics CSV (one row per
 seed and method), a per-iteration trace CSV and a rank-estimation profile
 CSV into the output directory; `complete` also writes the operator index
@@ -19,7 +24,7 @@ import sys
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,18 +33,18 @@ from .data import SyntheticSpec, load_image, save_image, stream_rng, synth_lowra
 from .linalg import _numpy_blas_functions
 from .metrics import psnr, relative_error
 from .operators import PartialDct2D, SamplingMask
-from .solvers import (
-    INNER_SOLVERS,
-    SolverConfig,
-    SolverDivergence,
-    lrisd,
-    solve_with_rank,
-)
+from .solvers import INNER_SOLVERS, SolverConfig, SolverDivergence, lrisd, solve_with_rank
 from .sve import SveConfig, estimate_rank
 
 __all__ = ["ExperimentConfig", "run", "emit_plot_data", "main"]
 
-COMMANDS = ("complete", "dct-synth", "sve-trace", "compare")
+COMMANDS = {
+    "complete": "recover an image from partial observations",
+    "dct-synth": "synthetic recovery from a partial DCT",
+    "sve-trace": "rank-estimation diagnostics on synthetic data",
+    "compare": "baseline vs multi-stage comparison",
+}
+SYNTHETIC = ("dct-synth", "sve-trace", "compare")
 
 METRICS_COLUMNS = (
     "experiment", "seed", "method", "operator", "solver", "m", "n", "true_r",
@@ -50,85 +55,108 @@ TRACE_COLUMNS = ("seed", "method", "stage", "l", "k", "objective", "residual", "
 SVE_COLUMNS = ("seed", "method", "stage", "kappa", "r_hat", "index", "S", "St", "Stt")
 
 
+def _setting(default, help, reads=tuple(COMMANDS), **flag):
+    """An ExperimentConfig field: its default, its flag's help and extra
+    argparse options, and the commands that read it."""
+    return field(default=default, metadata={"help": help, "reads": reads, "flag": flag})
+
+
 @dataclass
 class ExperimentConfig:
-    """One experiment run, serializable to a line-oriented key = value file."""
+    """One experiment run, serializable to a line-oriented key = value file.
+    Its fields after `command` are the table of settings (`_setting`)."""
 
     command: str = ""
-    operator: str = "dct"
-    m: int | None = None
-    n: int | None = None
-    rank: int | None = None
-    sr: float = 0.5
-    std: float = 0.0
-    image: str | None = None
-    mask_file: str | None = None
-    keep_file: str | None = None
-    keep_dc: bool = False
-    solver: str = "admm"
-    kappa_mode: str = "synthetic"
-    kappa: float | None = None
-    kappa_s: float = 1.0
-    max_outer: int = 10
-    stability: int = 2
-    delta: float | None = None
-    mu: float = 1.0
-    beta: float = 1e-3
-    inner_tol: float = 1e-4
-    outer_tol: float = 1e-2
-    max_inner_iters: int = 5000
-    max_refit_iters: int = 30
-    trials: int = 1
-    seed: int = 0
-    out: str = "out"
-    adjust: int | None = None
+    operator: str = _setting("dct", "measurement operator", choices=("mask", "dct"))
+    m: int | None = _setting(None, "rows of the synthetic matrix", SYNTHETIC)
+    n: int | None = _setting(None, "columns of the synthetic matrix", SYNTHETIC)
+    rank: int | None = _setting(None, "ground-truth rank", SYNTHETIC)
+    sr: float = _setting(0.5, "sample ratio (complete: of a random operator)")
+    std: float = _setting(0.0, "measurement noise std", SYNTHETIC)
+    image: str | None = _setting(None, "binary PGM/PPM input image", ("complete",))
+    mask_file: str | None = _setting(None, "mask index file (operator mask)", ("complete",))
+    keep_file: str | None = _setting(None, "DCT-keep index file (operator dct)", ("complete",))
+    keep_dc: bool = _setting(False, "keep the DC coefficient (operator dct)")
+    solver: str = _setting("admm", "inner solver", choices=INNER_SOLVERS)
+    kappa_mode: str = _setting("synthetic", "heuristic that sets kappa if kappa is unset",
+                               choices=("real", "synthetic"))
+    kappa: float | None = _setting(None, "explicit jump threshold")
+    kappa_s: float = _setting(1.0, "scale s of the heuristic threshold")
+    max_outer: int = _setting(10, "cap on rank-estimation stages")
+    stability: int = _setting(2, "equal consecutive estimates that end the stages")
+    delta: float | None = _setting(None, "ball radius, not for apgl (unset: std * sqrt(p))")
+    mu: float = _setting(1.0, "data-fit weight of the penalized model (apgl)")
+    beta: float = _setting(1e-3, "ADMM penalty (admmap: its starting value)")
+    inner_tol: float = _setting(1e-4, "stop tolerance of an inner solve")
+    outer_tol: float = _setting(1e-2, "stop tolerance across truncation-pair refits")
+    max_inner_iters: int = _setting(5000, "iteration cap of an inner solve")
+    max_refit_iters: int = _setting(30, "refit cap of a stage")
+    trials: int = _setting(1, "number of independent trials")
+    seed: int = _setting(0, "base RNG seed (trial i uses seed + i)")
+    out: str = _setting("out", "output directory")
+    adjust: int | None = _setting(None, "after estimation, search ranks within +/- W "
+                                  "(W = 2 if omitted)", ("complete", "dct-synth", "compare"),
+                                  nargs="?", const=2, metavar="W")
 
-    def validate(self) -> None:
-        def fail(field, msg):
-            raise ValueError(f"config field '{field}': {msg}")
+    def validate(self) -> "_Plan":
+        """Check every field, then build the run's library settings, so that
+        their own checks also run before anything is written."""
+        def fail(name, msg):
+            raise ValueError(f"config field '{name}': {msg}")
 
         if self.command not in COMMANDS:
-            fail("command", f"must be one of {COMMANDS}, got {self.command!r}")
-        if self.operator not in ("mask", "dct"):
-            fail("operator", f"must be 'mask' or 'dct', got {self.operator!r}")
-        if self.solver not in INNER_SOLVERS:
-            fail("solver", f"must be one of {INNER_SOLVERS}, got {self.solver!r}")
+            fail("command", f"must be one of {tuple(COMMANDS)}, got {self.command!r}")
+        for f in _SETTINGS:
+            value, reads, choices = (getattr(self, f.name), f.metadata["reads"],
+                                     f.metadata["flag"].get("choices"))
+            if choices and value not in choices:
+                fail(f.name, f"must be one of {choices}, got {value!r}")
+            if self.command not in reads and value != f.default:
+                fail(f.name, f"the {self.command} command does not read it "
+                     f"(read by {', '.join(reads)})")
         if self.trials < 1:
             fail("trials", "must be >= 1")
+        if self.adjust is not None and self.adjust < 0:
+            fail("adjust", "window must be >= 0")
         if self.delta is not None and self.solver == "apgl":
             fail("delta", "the apgl solver has no measurement ball; it weighs the data fit by mu")
-        if self.command == "complete":
-            if not self.image:
-                fail("image", "the complete command requires an image path")
-            for f in ("m", "n", "rank"):
-                if getattr(self, f) is not None:
-                    fail(f, "the complete command derives dimensions from the image")
-        else:
-            for f in ("image", "mask_file", "keep_file"):
-                if getattr(self, f):
-                    fail(f, f"the {self.command} command takes no {f}; only complete reads one")
-            for f in ("m", "n", "rank"):
-                if getattr(self, f) is None:
-                    fail(f, f"the {self.command} command requires {f}")
-            for f in ("m", "n"):
-                if getattr(self, f) < 3:
-                    fail(f, f"must be >= 3 for rank estimation, got {getattr(self, f)}")
-            if self.command == "dct-synth" and self.operator != "dct":
-                fail("operator", "dct-synth uses the dct operator")
         for f, operator in (("mask_file", "mask"), ("keep_file", "dct"), ("keep_dc", "dct")):
             if getattr(self, f) and self.operator != operator:
                 fail(f, f"only valid with operator = {operator}")
-        if self.adjust is not None:
-            if self.command == "sve-trace":
-                fail("adjust", "sve-trace runs no rank-window sweep")
-            if self.adjust < 0:
-                fail("adjust", "window must be >= 0")
+        spec = None
+        if self.command == "complete":
+            if not self.image:
+                fail("image", "the complete command requires an image path")
+            if not (self.mask_file or self.keep_file or 0 < self.sr <= 1):
+                fail("sr", f"must be in (0, 1] for a random operator, got {self.sr}")
+        else:
+            for f in ("m", "n", "rank"):
+                if getattr(self, f) is None:
+                    fail(f, f"the {self.command} command requires {f}")
+                if f != "rank" and getattr(self, f) < 3:
+                    fail(f, f"must be >= 3 for rank estimation, got {getattr(self, f)}")
+            if self.command == "dct-synth" and self.operator != "dct":
+                fail("operator", "dct-synth uses the dct operator")
+            spec = _checked(SyntheticSpec, m=self.m, n=self.n, r=self.rank, sr=self.sr,
+                            std=self.std, seed=self.seed)
+        # ball radius: explicit if given, else the expected noise norm of a
+        # noisy synthetic run, sqrt(p) * std (its operators keep p >= 1), else 0
+        delta = (self.delta if self.delta is not None
+                 else self.std * float(np.sqrt(max(spec.p, 1))) if self.std > 0 else 0.0)
+        solver = _checked(SolverConfig, beta=self.beta, mu=self.mu, delta=delta,
+                          inner_tol=self.inner_tol, outer_tol=self.outer_tol,
+                          max_inner_iters=self.max_inner_iters,
+                          max_refit_iters=self.max_refit_iters)
+        mode = "explicit" if self.kappa is not None else self.kappa_mode
+        sve = _checked(SveConfig, kappa_mode=mode, kappa=self.kappa, s=self.kappa_s,
+                       max_outer=self.max_outer, stability=self.stability)
+        return _Plan(self, solver, sve, replace(sve, max_outer=0), spec)
 
     # ---- text round trip -------------------------------------------------
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        types = {f.name: f.type for f in fields(cls)}
+        types = {f.name: _kind(f.type) for f in fields(cls)}
         kwargs = {}
         try:
             lines = Path(path).read_text().splitlines()
@@ -152,16 +180,17 @@ class ExperimentConfig:
     def to_file(self, path) -> None:
         with open(path, "w") as f:
             for fld in fields(self):
-                value = getattr(self, fld.name)
-                if value is None:
-                    continue
-                f.write(f"{fld.name} = {value}\n")
+                if getattr(self, fld.name) is not None:
+                    f.write(f"{fld.name} = {getattr(self, fld.name)}\n")
 
 
-def _coerce(annotation, value: str):
-    """Parse a config value as its field's annotated type (int, float, bool
-    or str, optionally `| None`)."""
-    kind = next((t for t in typing.get_args(annotation) if t is not type(None)), annotation)
+def _kind(annotation):
+    """A field's value type: int, float, bool or str, from an optional `| None`."""
+    return next((t for t in typing.get_args(annotation) if t is not type(None)), annotation)
+
+
+def _coerce(kind, value: str):
+    """Parse a config value as its field's type."""
     if kind is bool:
         if value.lower() in ("true", "1", "yes"):
             return True
@@ -169,6 +198,29 @@ def _coerce(annotation, value: str):
             return False
         raise ValueError(f"expected a boolean, got {value!r}")
     return kind(value)
+
+
+# every field but `command`, which names the subcommand itself
+_SETTINGS = fields(ExperimentConfig)[1:]
+
+
+class _Plan(typing.NamedTuple):
+    """A validated run: its config and the library settings built from it."""
+
+    cfg: ExperimentConfig
+    solver: SolverConfig
+    sve: SveConfig
+    baseline: SveConfig  # sve without estimation stages, for the lr method
+    spec: SyntheticSpec | None  # synthetic commands; trials replace its seed
+
+
+def _checked(kind, **settings):
+    """kind(**settings), its ValueError naming the config fields given to it."""
+    try:
+        return kind(**settings)
+    except ValueError as e:
+        names = ", ".join({"r": "rank", "s": "kappa_s"}.get(k, k) for k in settings)
+        raise ValueError(f"config fields {names}: {e}") from None
 
 
 # ---- shared machinery ----------------------------------------------------
@@ -243,64 +295,33 @@ def _blas_threads_shared(workers: int):
         put(n)
 
 
-def _solver_config(cfg: ExperimentConfig, delta: float) -> SolverConfig:
-    return SolverConfig(beta=cfg.beta, mu=cfg.mu, delta=delta,
-                        inner_tol=cfg.inner_tol, outer_tol=cfg.outer_tol,
-                        max_inner_iters=cfg.max_inner_iters,
-                        max_refit_iters=cfg.max_refit_iters)
-
-
-def _sve_config(cfg: ExperimentConfig, baseline: bool = False) -> SveConfig:
-    mode = "explicit" if cfg.kappa is not None else cfg.kappa_mode
-    return SveConfig(kappa_mode=mode, kappa=cfg.kappa, s=cfg.kappa_s,
-                     max_outer=0 if baseline else cfg.max_outer,
-                     stability=cfg.stability)
-
-
-def _resolve_delta(cfg: ExperimentConfig, p: int) -> float:
-    """Ball radius policy: explicit value if given, else sqrt(p) * std for
-    noisy synthetic runs (the expected noise norm), else 0."""
-    if cfg.delta is not None:
-        return cfg.delta
-    if cfg.std > 0:
-        return cfg.std * float(np.sqrt(p))
-    return 0.0
-
-
 def _recovered_rank(x: np.ndarray, kappa: float) -> int:
     spectrum = np.linalg.svd(x, compute_uv=False)
     return estimate_rank(spectrum, kappa).r_hat
 
 
 def _sve_rows(seed, method, traces):
-    rows = []
-    for t in traces:
-        if t.sve is None:
-            continue
-        prof = t.sve
-        for i in range(prof.S.size):
-            st = prof.St[i] if i < prof.St.size else None
-            stt = prof.Stt[i] if i < prof.Stt.size else None
-            rows.append((seed, method, t.stage, prof.kappa, prof.r_hat,
-                         i + 1, prof.S[i], st, stt))
-    return rows
+    """sve.csv rows of the stages that estimated a rank; St and Stt are
+    shorter than S, and their missing tail cells stay empty."""
+    return [(seed, method, t.stage, p.kappa, p.r_hat, i + 1, p.S[i],
+             p.St[i] if i < p.St.size else None, p.Stt[i] if i < p.Stt.size else None)
+            for t in traces if (p := t.sve) is not None for i in range(p.S.size)]
 
 
 # ---- trials --------------------------------------------------------------
 
 
-def _trial(cfg: ExperimentConfig, seed: int, a, channels, delta: float, score, finish,
-           true_r=None):
+def _trial(plan: _Plan, seed: int, a, channels, score, finish, true_r=None):
     """Run the command's methods on `channels`, each a (b, truth) pair
     measured by `a`. `finish` maps a solver output to the recovery that is
     scored and kept; `score(x, truth)` ranks the finished recoveries of the
     adjust sweep (higher wins). Returns the (metrics, trace, sve, timings)
     rows, in method, stage and index order, and each method's finished
     recoveries."""
+    cfg, solver_cfg = plan.cfg, plan.solver
     m, n = a.shape
-    solver_cfg = _solver_config(cfg, delta)
     penalized = cfg.solver == "apgl"
-    kappa = _sve_config(cfg).resolve_kappa(m, n)
+    kappa = plan.sve.resolve_kappa(m, n)
     methods = ["lrisd"] if cfg.command in ("dct-synth", "sve-trace") else ["lr", "lrisd"]
     if cfg.adjust is not None:
         methods.append("lrisd-adjust")
@@ -314,9 +335,9 @@ def _trial(cfg: ExperimentConfig, seed: int, a, channels, delta: float, score, f
         stages = iters = 0
         for ci, (b, truth) in enumerate(channels):
             if method == "lr":
-                x, traces = lrisd(a, b, cfg.solver, _sve_config(cfg, baseline=True), solver_cfg)
+                x, traces = lrisd(a, b, cfg.solver, plan.baseline, solver_cfg)
             elif method == "lrisd":
-                x, traces = lrisd(a, b, cfg.solver, _sve_config(cfg), solver_cfg)
+                x, traces = lrisd(a, b, cfg.solver, plan.sve, solver_cfg)
             else:
                 x, traces = _adjust_sweep(a, b, lrisd_ranks[ci], cfg, solver_cfg,
                                           score=lambda xc: score(finish(xc), truth))
@@ -333,7 +354,7 @@ def _trial(cfg: ExperimentConfig, seed: int, a, channels, delta: float, score, f
             experiment=cfg.command, seed=seed, method=method, operator=cfg.operator,
             solver=cfg.solver, m=m, n=n, true_r=true_r, sr=cfg.sr, std=cfg.std, kappa=kappa,
             # only the setting the solver reads: mu for apgl, delta for the others
-            delta=None if penalized else delta, mu=cfg.mu if penalized else None,
+            delta=None if penalized else solver_cfg.delta, mu=cfg.mu if penalized else None,
             rank_recovered=int(np.median(ranks)), stages=stages,
             inner_iters=iters, reer=relative_error(np.hstack(xs), truths)))
         timings.append((cfg.command, seed, method, elapsed))
@@ -357,10 +378,11 @@ def _adjust_sweep(a, b, r_center, cfg, solver_cfg, score):
     return best[1], merged
 
 
-def _synthetic_trial(cfg: ExperimentConfig, seed: int):
-    spec = SyntheticSpec(cfg.m, cfg.n, cfg.rank, cfg.sr, cfg.std, seed)
-    x_star, a, b = synth_lowrank(spec, kind=cfg.operator, keep_dc=cfg.keep_dc)
-    rows, _ = _trial(cfg, seed, a, [(b, x_star)], _resolve_delta(cfg, a.p),
+def _synthetic_trial(plan: _Plan, seed: int):
+    cfg = plan.cfg
+    x_star, a, b = synth_lowrank(replace(plan.spec, seed=seed), kind=cfg.operator,
+                                 keep_dc=cfg.keep_dc)
+    rows, _ = _trial(plan, seed, a, [(b, x_star)],
                      score=lambda x, truth: -relative_error(x, truth),
                      finish=lambda x: x, true_r=cfg.rank)
     return rows
@@ -379,9 +401,10 @@ def _build_image_operator(cfg: ExperimentConfig, m: int, n: int, seed: int):
     return PartialDct2D.random(m, n, cfg.sr, stream_rng(seed, "freqs"), keep_dc=cfg.keep_dc)
 
 
-def _image_trial(cfg: ExperimentConfig, image, seed: int, out: Path):
+def _image_trial(plan: _Plan, image, seed: int, out: Path):
     """One completion trial over the image's channels. Writes its operator,
     masked input and recovered images, and returns only its rows."""
+    cfg = plan.cfg
     m, n = image[0].shape
     a = _build_image_operator(cfg, m, n, seed)
     if cfg.operator == "mask":
@@ -391,8 +414,7 @@ def _image_trial(cfg: ExperimentConfig, image, seed: int, out: Path):
     else:
         eval_mask = None  # transform-domain sampling leaves no pixel untouched
     rows, recovered = _trial(
-        cfg, seed, a, [(a.apply(c), c) for c in image],
-        cfg.delta if cfg.delta is not None else 0.0,
+        plan, seed, a, [(a.apply(c), c) for c in image],
         score=lambda x, truth: psnr(x, truth, eval_mask).psnr_db,
         finish=lambda x: np.clip(x, 0.0, 255.0))
 
@@ -462,11 +484,9 @@ def _emit_median_series(rows, x_field, path) -> None:
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one experiment; returns a process exit status."""
-    cfg.validate()
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.to_file(out / "config.txt")
+    """Execute one experiment; returns a process exit status. The config and
+    the input image are checked before anything is written."""
+    plan, out = cfg.validate(), Path(cfg.out)
     if cfg.command == "complete":
         image = load_image(cfg.image)
         if min(image[0].shape) < 3:
@@ -474,9 +494,11 @@ def run(cfg: ExperimentConfig) -> int:
                              "complete needs at least 3x3 pixels")
         # one worker: side-by-side completions raise peak memory beyond the
         # benchmark's bound (README, Threads)
-        trial, workers = (lambda seed: _image_trial(cfg, image, seed, out)), 1
+        trial, workers = (lambda seed: _image_trial(plan, image, seed, out)), 1
     else:
-        trial, workers = (lambda seed: _synthetic_trial(cfg, seed)), _worker_count(cfg.trials)
+        trial, workers = (lambda seed: _synthetic_trial(plan, seed)), _worker_count(cfg.trials)
+    out.mkdir(parents=True, exist_ok=True)
+    cfg.to_file(out / "config.txt")
     with _blas_threads_shared(workers), ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(trial, range(cfg.seed, cfg.seed + cfg.trials)))
     # map keeps seed order, and each trial's rows come in method order
@@ -491,11 +513,9 @@ def run(cfg: ExperimentConfig) -> int:
         by_method = {}
         for row in metrics:
             by_method.setdefault(row["method"], []).append(row)
-        summary = []
-        for method, rows in by_method.items():
-            median_reer = float(np.median([r["reer"] for r in rows]))
-            rank_hits = sum(1 for r in rows if r["rank_recovered"] == cfg.rank)
-            summary.append((method, len(rows), median_reer, rank_hits))
+        summary = [(method, len(rows), float(np.median([r["reer"] for r in rows])),
+                    sum(r["rank_recovered"] == cfg.rank for r in rows))
+                   for method, rows in by_method.items()]
         _write_csv(out / "summary.csv",
                    ("method", "trials", "median_reer", "rank_hits"), summary)
     elif cfg.command == "sve-trace":
@@ -510,61 +530,23 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per experiment command, each with a flag for every
+    ExperimentConfig field, plus plot-data."""
     parser = argparse.ArgumentParser(
         prog="tnnr",
         description="Truncated-nuclear-norm low-rank recovery experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, summary in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="key = value config file; flags override it")
-        p.add_argument("--seed", type=int, help="base RNG seed (trial i uses seed + i)")
-        p.add_argument("--trials", type=int, help="number of independent trials")
-        p.add_argument("--solver", choices=INNER_SOLVERS)
-        p.add_argument("--kappa", type=float, help="explicit jump threshold")
-        p.add_argument("--kappa-mode", choices=("real", "synthetic"), dest="kappa_mode")
-        p.add_argument("--kappa-s", type=float, dest="kappa_s", help="heuristic scale s")
-        p.add_argument("--delta", type=float, help="measurement ball radius")
-        p.add_argument("--mu", type=float, help="data-fit weight of the penalized model")
-        p.add_argument("--beta", type=float, help="ADMM penalty")
-        p.add_argument("--inner-tol", type=float, dest="inner_tol")
-        p.add_argument("--outer-tol", type=float, dest="outer_tol")
-        p.add_argument("--max-inner-iters", type=int, dest="max_inner_iters")
-        p.add_argument("--max-refit-iters", type=int, dest="max_refit_iters")
-        p.add_argument("--max-outer", type=int, dest="max_outer")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--adjust", type=int, nargs="?", const=2,
-                       help="after estimation, search ranks within +/- W (default 2)")
-
-    def add_synth(p):
-        p.add_argument("--m", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--rank", type=int, help="ground-truth rank")
-        p.add_argument("--sr", type=float, help="sample ratio")
-        p.add_argument("--std", type=float, help="measurement noise std")
-        p.add_argument("--keep-dc", action="store_const", const=True, dest="keep_dc")
-
-    p = sub.add_parser("complete", help="recover an image from partial observations")
-    add_common(p)
-    p.add_argument("--image", help="binary PGM/PPM input image")
-    p.add_argument("--operator", choices=("mask", "dct"))
-    p.add_argument("--sr", type=float, help="observed fraction for random masks")
-    p.add_argument("--mask-file", dest="mask_file")
-    p.add_argument("--keep-file", dest="keep_file")
-    p.add_argument("--keep-dc", action="store_const", const=True, dest="keep_dc")
-
-    p = sub.add_parser("dct-synth", help="synthetic recovery from a partial DCT")
-    add_common(p)
-    add_synth(p)
-
-    p = sub.add_parser("sve-trace", help="rank-estimation diagnostics on synthetic data")
-    add_common(p)
-    add_synth(p)
-    p.add_argument("--operator", choices=("mask", "dct"))
-
-    p = sub.add_parser("compare", help="baseline vs multi-stage comparison")
-    add_common(p)
-    add_synth(p)
-    p.add_argument("--operator", choices=("mask", "dct"))
+        for f in _SETTINGS:
+            help, reads = f.metadata["help"], f.metadata["reads"]
+            if len(reads) < len(COMMANDS):
+                help += f"; read by {', '.join(reads)} only"
+            kind = _kind(f.type)
+            options = ({"action": "store_const", "const": True} if kind is bool
+                       else {"type": kind, **f.metadata["flag"]})
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=help, **options)
 
     p = sub.add_parser("plot-data", help="aggregate run CSVs into plot-ready series")
     p.add_argument("files", nargs="+", help="metrics.csv / sve.csv files")
@@ -573,19 +555,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-        if cfg.command and cfg.command != args.command:
-            raise ValueError(
-                f"config file command '{cfg.command}' conflicts with subcommand '{args.command}'")
-    else:
-        cfg = ExperimentConfig()
-    cfg.command = args.command
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        setattr(cfg, key, value)
-    return cfg
+    """The --config file's settings (or the defaults), overridden by the flags given."""
+    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    if cfg.command not in ("", args.command):
+        raise ValueError(
+            f"config file command '{cfg.command}' conflicts with subcommand '{args.command}'")
+    given = {f.name: v for f in _SETTINGS if (v := getattr(args, f.name)) is not None}
+    return replace(cfg, command=args.command, **given)
 
 
 def main(argv=None) -> int:

@@ -255,11 +255,11 @@ def _admmap_steps(a, b, g, x, cfg):
     s_shrunk = None
     while True:
         x_new, s_shrunk = _shrink_factors(y + z11 / beta, 1.0 / beta, s_shrunk)
-        # closed form for (I + A*A) Y = X + (L^T R - z11)/beta + A*(b + xi + z22/beta)
+        # closed form for (I + A*A) Y = X + (L^T R - z11)/beta + A*(b + xi + z22/beta),
+        # its two adjoints merged into one by linearity
         h = g - z11
-        y_new = (x_new + h / beta
-                 - a.adjoint(a.apply(h + beta * x_new)) / (2.0 * beta)
-                 + a.adjoint(beta * b + beta * xi + z22) / (2.0 * beta))
+        y_new = x_new + h / beta + a.adjoint(
+            beta * (b + xi) + z22 - a.apply(h + beta * x_new)) / (2.0 * beta)
         z11 = z11 - beta * (x_new - y_new)
         ay = a.apply(y_new)
         z22 = z22 - beta * (ay - b - xi)

@@ -3,8 +3,20 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tnnr.cli import ExperimentConfig, emit_plot_data, main, run
+from tnnr.cli import (
+    COMMANDS,
+    _SETTINGS,
+    ExperimentConfig,
+    _config_from_args,
+    _kind,
+    build_parser,
+    emit_plot_data,
+    main,
+    run,
+)
 from tnnr.data import save_image
 from tnnr.sve import estimate_rank
 
@@ -78,6 +90,142 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="delta"):
             ExperimentConfig(command="compare", m=10, n=10, rank=1,
                              solver="apgl", delta=0.5).validate()
+
+
+def _unread(command):
+    """The settings `command` does not read, each with a value away from its
+    default."""
+    samples = {int: 7, float: 0.25, str: "x.txt", bool: True}
+    return [(f.name, samples[_kind(f.type)]) for f in _SETTINGS
+            if command not in f.metadata["reads"]]
+
+
+def _argv_value(name, value):
+    """The flag that sets field `name` to `value`."""
+    flag = "--" + name.replace("_", "-")
+    return [flag] if value is True else [f"{flag}={value}"]
+
+
+class TestSettingsTable:
+    """Every setting is one ExperimentConfig field: flags and config files
+    give the same answer, and every check runs before a run writes anything."""
+
+    def test_complete_rejects_std_from_a_file(self, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text("std = 0.5\n")
+        out = tmp_path / "o"
+        code = main(["complete", "--config", str(config), "--operator", "mask",
+                     "--image", str(make_test_image(tmp_path / "in.pgm", color=False)),
+                     "--out", str(out)])
+        assert code == 2
+        assert "config field 'std'" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("given, field", [
+        (["--beta", "5e6"], "beta"),
+        (["--kappa-s", "0"], "kappa_s"),
+        (["--rank", "50"], "rank"),
+        (["--sr", "1.5"], "sr"),
+        ("kappa_mode = foo\n", "kappa_mode"),
+        (["--stability", "1"], "stability"),
+        (["--max-outer", "-1"], "max_outer"),
+        (["--inner-tol", "0"], "inner_tol"),
+        (["--std", "-1"], "std"),
+        (["--delta", "-1"], "delta"),
+        (["--kappa", "0"], "kappa"),
+    ])
+    def test_library_checks_run_before_any_write(self, tmp_path, capsys, given, field):
+        if isinstance(given, str):
+            (tmp_path / "c.txt").write_text(given)
+            given = ["--config", str(tmp_path / "c.txt")]
+        out = tmp_path / "o"
+        code = main(["compare", "--m", "10", "--n", "10", "--rank", "1", *given,
+                     "--out", str(out)])
+        assert code == 2
+        assert field in capsys.readouterr().err.split(":")[1]  # the fields named
+        assert not out.exists()
+
+    def test_complete_checks_a_random_operator_sample_ratio(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["complete", "--image", str(tmp_path / "in.pgm"), "--sr", "1.5",
+                     "--out", str(out)])
+        assert code == 2
+        assert "config field 'sr'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_image_writes_nothing(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["complete", "--image", str(tmp_path / "nope.ppm"),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_stability_flag_lands_in_config(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["sve-trace", "--m", "10", "--n", "10", "--rank", "1", "--stability", "3",
+                     "--max-inner-iters", "50", "--out", str(out)]) == 0
+        assert ExperimentConfig.from_file(out / "config.txt").stability == 3
+
+    @pytest.mark.parametrize("command, name, value", [
+        (command, name, value) for command in COMMANDS for name, value in _unread(command)])
+    def test_unread_setting_fails_alike_from_flag_and_file(self, tmp_path, capsys,
+                                                           command, name, value):
+        base = (["--image", "in.pgm"] if command == "complete"
+                else ["--m", "10", "--n", "10", "--rank", "1"])
+        out = tmp_path / "o"
+        config = tmp_path / "c.txt"
+        config.write_text(f"{name} = {value}\n")
+        results = []
+        for given in (_argv_value(name, value), ["--config", str(config)]):
+            code = main([command, *base, *given, "--out", str(out)])
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == 2
+        assert f"config field '{name}': the {command} command does not read it" in results[0][1]
+        assert not out.exists()
+
+    def test_help_names_the_commands_of_partial_settings(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["compare", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--stability" in text
+        assert "read by complete only" in text
+        assert "read by complete, dct-synth, compare only" in text
+
+
+def _setting_values(f):
+    """Values a field can hold; strings survive the file's strip and '#'."""
+    kind = _kind(f.type)
+    if f.metadata.get("flag", {}).get("choices"):
+        values = st.sampled_from(f.metadata["flag"]["choices"])
+    elif kind is bool:
+        values = st.booleans()
+    elif kind is int:
+        values = st.integers(-10**6, 10**6)
+    elif kind is float:
+        values = st.floats(allow_nan=False, allow_infinity=False)
+    else:
+        values = st.text(st.characters(min_codepoint=33, max_codepoint=126,
+                                       blacklist_characters="#"), max_size=12)
+    return values | st.none() if f.default is None else values
+
+
+configs = st.builds(ExperimentConfig, command=st.sampled_from(tuple(COMMANDS)),
+                    **{f.name: _setting_values(f) for f in _SETTINGS})
+
+
+class TestConfigRoundTrips:
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=configs)
+    def test_file_and_argv_give_the_same_config(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("rt") / "cfg.txt"
+        cfg.to_file(path)
+        assert ExperimentConfig.from_file(path) == cfg
+        argv = [cfg.command]
+        for f in _SETTINGS:
+            value = getattr(cfg, f.name)
+            if value is not None and value is not False:
+                argv += _argv_value(f.name, value)
+        assert _config_from_args(build_parser().parse_args(argv)) == cfg
 
 
 class TestSmallShapesAndAdjust:
