@@ -2,9 +2,10 @@
 estimation traces, and baseline-vs-multistage comparisons.
 
 `ExperimentConfig`'s fields are the one table of settings: each declares its
-default, its flag's help and options, and the commands that read it. Each is
-a flag of every experiment command and a config-file key. `validate()` checks
-every field before a run writes anything, the same way from either source.
+default, its flag's help and options, and the commands and inner solvers that
+read it. Each is a flag of every experiment command and a config-file key.
+`validate()` checks every field before a run writes anything, the same way
+from either source.
 
 Every run writes its resolved configuration, a metrics CSV (one row per
 seed and method), a per-iteration trace CSV and a rank-estimation profile
@@ -55,10 +56,11 @@ TRACE_COLUMNS = ("seed", "method", "stage", "l", "k", "objective", "residual", "
 SVE_COLUMNS = ("seed", "method", "stage", "kappa", "r_hat", "index", "S", "St", "Stt")
 
 
-def _setting(default, help, reads=tuple(COMMANDS), **flag):
+def _setting(default, help, reads=tuple(COMMANDS), solvers=INNER_SOLVERS, **flag):
     """An ExperimentConfig field: its default, its flag's help and extra
-    argparse options, and the commands that read it."""
-    return field(default=default, metadata={"help": help, "reads": reads, "flag": flag})
+    argparse options, and the commands and inner solvers that read it."""
+    return field(default=default,
+                 metadata={"help": help, "reads": reads, "solvers": solvers, "flag": flag})
 
 
 @dataclass
@@ -84,9 +86,11 @@ class ExperimentConfig:
     kappa_s: float = _setting(1.0, "scale s of the heuristic threshold")
     max_outer: int = _setting(10, "cap on rank-estimation stages")
     stability: int = _setting(2, "equal consecutive estimates that end the stages")
-    delta: float | None = _setting(None, "ball radius, not for apgl (unset: std * sqrt(p))")
-    mu: float = _setting(1.0, "data-fit weight of the penalized model (apgl)")
-    beta: float = _setting(1e-3, "ADMM penalty (admmap: its starting value)")
+    delta: float | None = _setting(None, "ball radius (unset: std * sqrt(p))",
+                                   solvers=("admm", "admmap"))
+    mu: float = _setting(1.0, "data-fit weight of the penalized model", solvers=("apgl",))
+    beta: float = _setting(1e-3, "ADMM penalty (admmap: its starting value)",
+                           solvers=("admm", "admmap"))
     inner_tol: float = _setting(1e-4, "stop tolerance of an inner solve")
     outer_tol: float = _setting(1e-2, "stop tolerance across truncation-pair refits")
     max_inner_iters: int = _setting(5000, "iteration cap of an inner solve")
@@ -107,19 +111,22 @@ class ExperimentConfig:
         if self.command not in COMMANDS:
             fail("command", f"must be one of {tuple(COMMANDS)}, got {self.command!r}")
         for f in _SETTINGS:
-            value, reads, choices = (getattr(self, f.name), f.metadata["reads"],
-                                     f.metadata["flag"].get("choices"))
+            value, choices = getattr(self, f.name), f.metadata["flag"].get("choices")
             if choices and value not in choices:
                 fail(f.name, f"must be one of {choices}, got {value!r}")
-            if self.command not in reads and value != f.default:
+            if value == f.default:
+                continue
+            reads, solvers = f.metadata["reads"], f.metadata["solvers"]
+            if self.command not in reads:
                 fail(f.name, f"the {self.command} command does not read it "
                      f"(read by {', '.join(reads)})")
+            if self.solver not in solvers:
+                fail(f.name, f"the {self.solver} solver does not read it "
+                     f"(read by {', '.join(solvers)})")
         if self.trials < 1:
             fail("trials", "must be >= 1")
         if self.adjust is not None and self.adjust < 0:
             fail("adjust", "window must be >= 0")
-        if self.delta is not None and self.solver == "apgl":
-            fail("delta", "the apgl solver has no measurement ball; it weighs the data fit by mu")
         for f, operator in (("mask_file", "mask"), ("keep_file", "dct"), ("keep_dc", "dct")):
             if getattr(self, f) and self.operator != operator:
                 fail(f, f"only valid with operator = {operator}")
@@ -311,13 +318,14 @@ def _sve_rows(seed, method, traces):
 # ---- trials --------------------------------------------------------------
 
 
-def _trial(plan: _Plan, seed: int, a, channels, score, finish, true_r=None):
+def _trial(plan: _Plan, seed: int, a, channels, score, finish, true_r=None, done=None):
     """Run the command's methods on `channels`, each a (b, truth) pair
     measured by `a`. `finish` maps a solver output to the recovery that is
-    scored and kept; `score(x, truth)` ranks the finished recoveries of the
-    adjust sweep (higher wins). Returns the (metrics, trace, sve, timings)
-    rows, in method, stage and index order, and each method's finished
-    recoveries."""
+    scored; `score(x, truth)` ranks the finished recoveries of the adjust
+    sweep (higher wins). `done(row, xs)`, if given, receives each method's
+    metrics row and finished recoveries as soon as that method ends, and the
+    recoveries are dropped after it. Returns the (metrics, trace, sve,
+    timings) rows, in method, stage and index order."""
     cfg, solver_cfg = plan.cfg, plan.solver
     m, n = a.shape
     penalized = cfg.solver == "apgl"
@@ -326,8 +334,7 @@ def _trial(plan: _Plan, seed: int, a, channels, score, finish, true_r=None):
     if cfg.adjust is not None:
         methods.append("lrisd-adjust")
 
-    truths = np.hstack([truth for _, truth in channels])
-    metrics, trace_rows, sve_rows, timings, recovered = [], [], [], [], {}
+    metrics, trace_rows, sve_rows, timings = [], [], [], []
     lrisd_ranks = []
     for method in methods:
         start = time.perf_counter()
@@ -355,11 +362,12 @@ def _trial(plan: _Plan, seed: int, a, channels, score, finish, true_r=None):
             solver=cfg.solver, m=m, n=n, true_r=true_r, sr=cfg.sr, std=cfg.std, kappa=kappa,
             # only the setting the solver reads: mu for apgl, delta for the others
             delta=None if penalized else solver_cfg.delta, mu=cfg.mu if penalized else None,
-            rank_recovered=int(np.median(ranks)), stages=stages,
-            inner_iters=iters, reer=relative_error(np.hstack(xs), truths)))
+            rank_recovered=int(np.median(ranks)), stages=stages, inner_iters=iters,
+            reer=relative_error(xs, [truth for _, truth in channels])))
         timings.append((cfg.command, seed, method, elapsed))
-        recovered[method] = xs
-    return (metrics, trace_rows, sve_rows, timings), recovered
+        if done is not None:
+            done(metrics[-1], xs)
+    return metrics, trace_rows, sve_rows, timings
 
 
 def _adjust_sweep(a, b, r_center, cfg, solver_cfg, score):
@@ -382,54 +390,55 @@ def _synthetic_trial(plan: _Plan, seed: int):
     cfg = plan.cfg
     x_star, a, b = synth_lowrank(replace(plan.spec, seed=seed), kind=cfg.operator,
                                  keep_dc=cfg.keep_dc)
-    rows, _ = _trial(plan, seed, a, [(b, x_star)],
-                     score=lambda x, truth: -relative_error(x, truth),
-                     finish=lambda x: x, true_r=cfg.rank)
-    return rows
+    return _trial(plan, seed, a, [(b, x_star)],
+                  score=lambda x, truth: -relative_error(x, truth),
+                  finish=lambda x: x, true_r=cfg.rank)
 
 
-def _build_image_operator(cfg: ExperimentConfig, m: int, n: int, seed: int):
+def _operator_file(cfg: ExperimentConfig, shape):
+    """The operator of `complete`'s --mask-file or --keep-file, checked
+    against the image shape; None for a random operator."""
     path = cfg.mask_file or cfg.keep_file  # validate() pairs each with its operator
-    if path:
-        a = (SamplingMask if cfg.operator == "mask" else PartialDct2D).from_file(path)
-        if a.shape != (m, n):
-            kind = "mask" if cfg.mask_file else "keep"
-            raise ValueError(f"{kind} file shape {a.shape} does not match image ({m}, {n})")
-        return a
-    if cfg.operator == "mask":
-        return SamplingMask.random(m, n, cfg.sr, stream_rng(seed, "mask"))
-    return PartialDct2D.random(m, n, cfg.sr, stream_rng(seed, "freqs"), keep_dc=cfg.keep_dc)
+    if not path:
+        return None
+    a = (SamplingMask if cfg.operator == "mask" else PartialDct2D).from_file(path)
+    if a.shape != shape:
+        kind = "mask" if cfg.mask_file else "keep"
+        raise ValueError(f"{kind} file shape {a.shape} does not match image {shape}")
+    return a
 
 
-def _image_trial(plan: _Plan, image, seed: int, out: Path):
-    """One completion trial over the image's channels. Writes its operator,
-    masked input and recovered images, and returns only its rows."""
+def _image_trial(plan: _Plan, image, a, seed: int, out: Path):
+    """One completion trial over the image's channels, measured by `a`, or by
+    the seed's random operator when `a` is None. Writes its operator and
+    masked input first, and each method's recovered image as soon as that
+    method ends; returns only its rows."""
     cfg = plan.cfg
     m, n = image[0].shape
-    a = _build_image_operator(cfg, m, n, seed)
-    if cfg.operator == "mask":
-        observed = a.observed()
-        missing = ~observed
-        eval_mask = missing if missing.any() else None
-    else:
-        eval_mask = None  # transform-domain sampling leaves no pixel untouched
-    rows, recovered = _trial(
-        plan, seed, a, [(a.apply(c), c) for c in image],
-        score=lambda x, truth: psnr(x, truth, eval_mask).psnr_db,
-        finish=lambda x: np.clip(x, 0.0, 255.0))
-
+    if a is None and cfg.operator == "mask":
+        a = SamplingMask.random(m, n, cfg.sr, stream_rng(seed, "mask"))
+    elif a is None:
+        a = PartialDct2D.random(m, n, cfg.sr, stream_rng(seed, "freqs"), keep_dc=cfg.keep_dc)
     tag = f"_seed{seed}" if cfg.trials > 1 else ""
     ext = "pgm" if len(image) == 1 else "ppm"
     a.to_file(out / f"operator{tag}.txt")
     if cfg.operator == "mask":
+        observed = a.observed()
         save_image([c * observed for c in image], out / f"masked{tag}.{ext}")
-    for row in rows[0]:
-        xs = recovered[row["method"]]
+        missing = ~observed
+        eval_mask = missing if missing.any() else None
+    else:
+        eval_mask = None  # transform-domain sampling leaves no pixel untouched
+
+    def done(row, xs):
         report = psnr(xs, image, eval_mask)
         row.update(psnr_db=report.psnr_db, se=report.se, mse=report.mse,
                    t_count=report.t_count)
         save_image(xs, out / f"recovered_{row['method']}{tag}.{ext}")
-    return rows
+
+    return _trial(plan, seed, a, [(a.apply(c), c) for c in image],
+                  score=lambda x, truth: psnr(x, truth, eval_mask).psnr_db,
+                  finish=lambda x: np.clip(x, 0.0, 255.0), done=done)
 
 
 # ---- plot data -----------------------------------------------------------
@@ -484,19 +493,21 @@ def _emit_median_series(rows, x_field, path) -> None:
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one experiment; returns a process exit status. The config and
-    the input image are checked before anything is written."""
+    """Execute one experiment; returns a process exit status. The config, the
+    input image and an operator file are checked before anything is written."""
     plan, out = cfg.validate(), Path(cfg.out)
     if cfg.command == "complete":
         image = load_image(cfg.image)
         if min(image[0].shape) < 3:
             raise ValueError(f"image {cfg.image} has shape {image[0].shape}; "
                              "complete needs at least 3x3 pixels")
-        # one worker: side-by-side completions raise peak memory beyond the
-        # benchmark's bound (README, Threads)
-        trial, workers = (lambda seed: _image_trial(plan, image, seed, out)), 1
+        a = _operator_file(cfg, image[0].shape)  # read once, shared by every trial
+        trial = lambda seed: _image_trial(plan, image, a, seed, out)
     else:
-        trial, workers = (lambda seed: _synthetic_trial(plan, seed)), _worker_count(cfg.trials)
+        trial = lambda seed: _synthetic_trial(plan, seed)
+    # trials run side by side, under the BLAS thread cap (README, Threads);
+    # each completion trial writes its images as it goes and keeps only rows
+    workers = _worker_count(cfg.trials)
     out.mkdir(parents=True, exist_ok=True)
     cfg.to_file(out / "config.txt")
     with _blas_threads_shared(workers), ThreadPoolExecutor(max_workers=workers) as pool:
@@ -540,9 +551,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="key = value config file; flags override it")
         for f in _SETTINGS:
-            help, reads = f.metadata["help"], f.metadata["reads"]
-            if len(reads) < len(COMMANDS):
-                help += f"; read by {', '.join(reads)} only"
+            help = f.metadata["help"]
+            for users, every in ((f.metadata["reads"], COMMANDS),
+                                 (f.metadata["solvers"], INNER_SOLVERS)):
+                if len(users) < len(every):
+                    help += f"; read by {', '.join(users)} only"
             kind = _kind(f.type)
             options = ({"action": "store_const", "const": True} if kind is bool
                        else {"type": kind, **f.metadata["flag"]})

@@ -1,6 +1,7 @@
 """Recovery quality metrics: PSNR over an evaluation set and relative
 Frobenius error."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +63,18 @@ def psnr(x_rec, x_true, eval_mask=None) -> MetricsReport:
 
 
 def relative_error(x_re, x_star) -> float:
-    """||X_re - X*||_F / ||X*||_F."""
-    x_re = np.asarray(x_re, dtype=np.float64)
-    x_star = np.asarray(x_star, dtype=np.float64)
-    if x_re.shape != x_star.shape:
-        raise ValueError(f"shape mismatch {x_re.shape} vs {x_star.shape}")
-    denom = float(np.linalg.norm(x_star))
+    """||X_re - X*||_F / ||X*||_F.
+
+    x_re/x_star are single matrices or equal-length channel sequences; the
+    norms of a sequence run over all its channels, as if they stood side by
+    side, without building that stack. A single matrix gives exactly the
+    quotient of its two Frobenius norms.
+    """
+    rec = _as_channels(x_re)
+    true = _as_channels(x_star)
+    if len(rec) != len(true) or any(r.shape != t.shape for r, t in zip(rec, true)):
+        raise ValueError(f"shape mismatch {[r.shape for r in rec]} vs {[t.shape for t in true]}")
+    denom = math.hypot(*(float(np.linalg.norm(t)) for t in true))
     if denom == 0:
         raise ValueError("reference matrix is zero")
-    return float(np.linalg.norm(x_re - x_star)) / denom
+    return math.hypot(*(float(np.linalg.norm(r - t)) for r, t in zip(rec, true))) / denom

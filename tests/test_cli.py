@@ -1,4 +1,5 @@
 import csv
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -310,7 +311,8 @@ class TestSolverSettingsOutsideTheirUse:
     @pytest.mark.parametrize("solver", ["admm", "apgl", "admmap"])
     def test_metrics_leave_the_unread_setting_empty(self, tmp_path, solver):
         out = tmp_path / "o"
-        assert main(["compare", "--solver", solver, "--mu", "7", *self.SMALL,
+        mu = ["--mu", "7"] if solver == "apgl" else []
+        assert main(["compare", "--solver", solver, *mu, *self.SMALL,
                      "--out", str(out)]) == 0
         rows = read_csv(out / "metrics.csv")
         assert len(rows) == 2
@@ -330,6 +332,31 @@ class TestSolverSettingsOutsideTheirUse:
         assert main(["compare", *given, *self.SMALL, "--out", str(out)]) == 2
         assert "config field 'delta'" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("solver, name, value", [
+        ("apgl", "beta", 0.5), ("apgl", "delta", 0.5), ("admm", "mu", 7.0),
+        ("admmap", "mu", 7.0)])
+    def test_setting_the_solver_does_not_read_fails_alike_from_flag_and_file(
+            self, tmp_path, capsys, solver, name, value):
+        config = tmp_path / "c.txt"
+        config.write_text(f"solver = {solver}\n{name} = {value}\n")
+        out = tmp_path / "o"
+        results = []
+        for given in (["--solver", solver, *_argv_value(name, value)],
+                      ["--config", str(config)]):
+            code = main(["compare", *given, *self.SMALL, "--out", str(out)])
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == 2
+        assert f"config field '{name}': the {solver} solver does not read it" in results[0][1]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver, given", [("apgl", ["--beta", "0.001"]),
+                                               ("admm", ["--mu", "1"])])
+    def test_default_value_of_an_unread_setting_is_accepted(self, tmp_path, solver, given):
+        out = tmp_path / "o"
+        assert main(["compare", "--solver", solver, *given, *self.SMALL,
+                     "--out", str(out)]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -528,7 +555,9 @@ class TestCompleteTrials:
         for name in names:
             assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
-    def test_one_worker_leaves_blas_threads_alone(self, blas_threads, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("workers, threads", [("2", 2), ("1", 4)])
+    def test_pooled_trials_share_blas_threads(self, blas_threads, monkeypatch, tmp_path,
+                                              workers, threads):
         import tnnr.cli
         get, put = blas_threads
         put(4)
@@ -539,12 +568,13 @@ class TestCompleteTrials:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr("tnnr.cli.lrisd", recording)
-        monkeypatch.setenv("LOWRANK_THREADS", "2")
+        monkeypatch.setenv("LOWRANK_THREADS", workers)
         image = make_test_image(tmp_path / "in.pgm", seed=5, color=False, size=12)
         assert main(["complete", "--image", str(image), "--operator", "mask", "--sr", "0.6",
                      "--kappa-mode", "real", "--trials", "2", "--max-inner-iters", "100",
                      "--out", str(tmp_path / "o")]) == 0
-        assert seen == [4] * 4  # 2 trials x (lr, lrisd), one grayscale channel
+        # 2 trials x (lr, lrisd), one grayscale channel; max(1, 4 // workers)
+        assert seen == [threads] * 4
         assert get() == 4
 
     def test_keep_file_round_trips(self, tmp_path):
@@ -569,10 +599,29 @@ class TestCompleteTrials:
         image = make_test_image(tmp_path / "in.pgm", seed=7, color=False, size=12)
         kind = SamplingMask if operator == "mask" else PartialDct2D
         kind.random(10, 12, 0.6, np.random.default_rng(4)).to_file(tmp_path / "op.txt")
+        out = tmp_path / "o"
         code = main(["complete", "--image", str(image), "--operator", operator,
-                     flag, str(tmp_path / "op.txt"), "--out", str(tmp_path / "o")])
+                     flag, str(tmp_path / "op.txt"), "--out", str(out)])
         assert code == 2
-        assert "does not match image (12, 12)" in capsys.readouterr().err
+        assert "shape (10, 12) does not match image (12, 12)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_operator_file_is_read_once_for_all_trials(self, tmp_path, monkeypatch):
+        from tnnr.operators import SamplingMask
+
+        image = make_test_image(tmp_path / "in.pgm", seed=8, color=False, size=12)
+        SamplingMask.random(12, 12, 0.6, np.random.default_rng(5)).to_file(tmp_path / "m.txt")
+        reads, read = [], SamplingMask.from_file
+        monkeypatch.setattr(SamplingMask, "from_file",
+                            classmethod(lambda cls, path: reads.append(path) or read(path)))
+        out = tmp_path / "o"
+        assert main(["complete", "--image", str(image), "--operator", "mask",
+                     "--mask-file", str(tmp_path / "m.txt"), "--kappa-mode", "real",
+                     "--trials", "3", "--max-inner-iters", "50", "--out", str(out)]) == 0
+        assert len(reads) == 1
+        for seed in range(3):
+            assert ((out / f"operator_seed{seed}.txt").read_bytes()
+                    == (tmp_path / "m.txt").read_bytes())
 
 
 class TestPlotData:
@@ -791,3 +840,36 @@ class TestPooledCompareMatchesSerial:
         for name in self.CSVS:
             _assert_cells_agree(_csv_cells(pooled / name), _csv_cells(serial / name))
             assert (pooled / name).read_bytes() == (again / name).read_bytes()
+
+
+class TestPooledCompleteMatchesSerial:
+    """A pooled 3-trial color completion against the same run with one
+    worker: the BLAS thread cap may move floats only at rounding. The pool
+    has a worker per trial, more than two cores have, and switches threads
+    often, so that trials writing into one directory would show a race."""
+
+    @staticmethod
+    def complete(monkeypatch, image, out, workers):
+        monkeypatch.setenv("LOWRANK_THREADS", str(workers))
+        assert main(["complete", "--image", str(image), "--operator", "mask", "--sr", "0.5",
+                     "--kappa-mode", "real", "--trials", "3", "--seed", "3",
+                     "--max-inner-iters", "300", "--out", str(out)]) == 0
+        return out
+
+    def test_pool_agrees_with_one_worker(self, monkeypatch, tmp_path):
+        image = make_test_image(tmp_path / "in.ppm", seed=9, size=20)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled = self.complete(monkeypatch, image, tmp_path / "pooled", 3)
+        finally:
+            sys.setswitchinterval(interval)
+        serial = self.complete(monkeypatch, image, tmp_path / "serial", 1)
+        names = sorted(p.name for p in pooled.iterdir())
+        assert names == sorted(p.name for p in serial.iterdir())
+        files = [n for n in names if n.endswith((".ppm", ".txt")) and n != "config.txt"]
+        assert len(files) == 3 * 4  # per seed: operator, masked, lr and lrisd images
+        for name in files:
+            assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
+        for name in ("metrics.csv", "trace.csv", "sve.csv"):
+            _assert_cells_agree(_csv_cells(pooled / name), _csv_cells(serial / name))

@@ -134,6 +134,18 @@ class TestRelativeError:
         with pytest.raises(ValueError):
             relative_error(np.ones((2, 2)), np.zeros((2, 2)))
 
+    def test_channels_score_as_if_stacked(self):
+        rng = np.random.default_rng(4)
+        truths = [rng.standard_normal((5, 4)) for _ in range(3)]
+        recs = [t + 0.1 * rng.standard_normal(t.shape) for t in truths]
+        stacked = relative_error(np.hstack(recs), np.hstack(truths))
+        assert relative_error(recs, truths) == pytest.approx(stacked, rel=1e-14)
+        # one channel is exactly the quotient of the two Frobenius norms
+        assert relative_error(recs[:1], truths[:1]) == (
+            float(np.linalg.norm(recs[0] - truths[0])) / float(np.linalg.norm(truths[0])))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            relative_error(recs, truths[:1])
+
     def test_monotone_in_error_and_permutation_invariant(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((6, 6))

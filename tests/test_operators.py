@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnnr.operators import PartialDct2D, SamplingMask, project_ball
 
@@ -222,3 +224,45 @@ class TestProjectBall:
         op = SamplingMask(1, 1, [0], [0])
         with pytest.raises(ValueError):
             inverse_identity_check(op, 0.0, np.zeros((1, 1)))
+
+
+@st.composite
+def degenerate_operators(draw):
+    """A mask or partial DCT on a 1 x k or k x 1 domain, or one of any small
+    shape that keeps a single measurement or all m n of them; plus a seed
+    for its test data."""
+    kind = draw(st.sampled_from(["mask", "dct"]))
+    k, j = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    m, n = draw(st.sampled_from([(1, k), (k, 1), (k, j)]))
+    counts = [1, m * n] if min(m, n) > 1 else [1, m * n, draw(st.integers(1, m * n))]
+    p = draw(st.sampled_from(counts))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = rng.choice(m * n, size=p, replace=False)  # any distinct order
+    op = SamplingMask(m, n, flat // n, flat % n) if kind == "mask" else PartialDct2D(m, n, flat)
+    return op, rng
+
+
+class TestDegenerateShapes:
+    """The tight-frame identities and the ball projection at 1 x n, n x 1,
+    p = 1 and p = m n."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=degenerate_operators())
+    def test_tight_frame_and_adjoint(self, case):
+        op, rng = case
+        x = rng.standard_normal(op.shape)
+        y = rng.standard_normal(op.p)
+        assert np.linalg.norm(op.apply(op.adjoint(y)) - y) <= 1e-12 * np.linalg.norm(y)
+        lhs = float(op.apply(x) @ y)
+        rhs = float(np.vdot(x, op.adjoint(y)))
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=degenerate_operators(), frac=st.floats(1e-3, 2.0))
+    def test_ball_projection_lands_in_the_ball(self, case, frac):
+        op, rng = case
+        y = 3 * rng.standard_normal(op.shape)
+        b = rng.standard_normal(op.p)
+        delta = frac * float(np.linalg.norm(op.apply(y) - b))
+        out = project_ball(op, y, b, delta)
+        assert np.linalg.norm(op.apply(out) - b) <= delta * (1 + 1e-9)
