@@ -20,6 +20,7 @@ from .solvers import (
     SolverDivergence,
     StageTrace,
     lrisd,
+    lrisd_stages,
     objective,
     solve_with_rank,
     tnnr_admm,

@@ -25,7 +25,7 @@ import sys
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,8 @@ from .data import SyntheticSpec, load_image, save_image, stream_rng, synth_lowra
 from .linalg import _numpy_blas_functions
 from .metrics import psnr, relative_error
 from .operators import PartialDct2D, SamplingMask
-from .solvers import INNER_SOLVERS, SolverConfig, SolverDivergence, lrisd, solve_with_rank
+from .solvers import INNER_SOLVERS, SolverConfig, SolverDivergence, lrisd_stages, solve_with_rank
+from .solvers import lrisd  # not called here: the benchmark's tracer wraps tnnr.cli.lrisd
 from .sve import SveConfig, estimate_rank
 
 __all__ = ["ExperimentConfig", "run", "emit_plot_data", "main"]
@@ -157,7 +158,7 @@ class ExperimentConfig:
         mode = "explicit" if self.kappa is not None else self.kappa_mode
         sve = _checked(SveConfig, kappa_mode=mode, kappa=self.kappa, s=self.kappa_s,
                        max_outer=self.max_outer, stability=self.stability)
-        return _Plan(self, solver, sve, replace(sve, max_outer=0), spec)
+        return _Plan(self, solver, sve, spec)
 
     # ---- text round trip -------------------------------------------------
 
@@ -217,7 +218,6 @@ class _Plan(typing.NamedTuple):
     cfg: ExperimentConfig
     solver: SolverConfig
     sve: SveConfig
-    baseline: SveConfig  # sve without estimation stages, for the lr method
     spec: SyntheticSpec | None  # synthetic commands; trials replace its seed
 
 
@@ -318,14 +318,13 @@ def _sve_rows(seed, method, traces):
 # ---- trials --------------------------------------------------------------
 
 
-def _trial(plan: _Plan, seed: int, a, channels, score, finish, true_r=None, done=None):
+def _trial(plan: _Plan, seed: int, a, channels, score, finish, true_r=None):
     """Run the command's methods on `channels`, each a (b, truth) pair
-    measured by `a`. `finish` maps a solver output to the recovery that is
-    scored; `score(x, truth)` ranks the finished recoveries of the adjust
-    sweep (higher wins). `done(row, xs)`, if given, receives each method's
-    metrics row and finished recoveries as soon as that method ends, and the
-    recoveries are dropped after it. Returns the (metrics, trace, sve,
-    timings) rows, in method, stage and index order."""
+    measured by `a`: lr is stage 0 and lrisd the last stage of one
+    `lrisd_stages` run per channel. `finish` maps a solver output to the
+    recovery that is scored; `score(x, truth)` ranks the adjust sweep's
+    finished recoveries (higher wins). Returns the rows (metrics, trace, sve,
+    timings; in method, stage and index order) and each method's recoveries."""
     cfg, solver_cfg = plan.cfg, plan.solver
     m, n = a.shape
     penalized = cfg.solver == "apgl"
@@ -333,41 +332,44 @@ def _trial(plan: _Plan, seed: int, a, channels, score, finish, true_r=None, done
     methods = ["lrisd"] if cfg.command in ("dct-synth", "sve-trace") else ["lr", "lrisd"]
     if cfg.adjust is not None:
         methods.append("lrisd-adjust")
+    solved = {method: [] for method in methods}  # (finished x, rank, traces, seconds)
 
-    metrics, trace_rows, sve_rows, timings = [], [], [], []
-    lrisd_ranks = []
-    for method in methods:
+    def keep(method, start, x, traces, profile=None):
+        if method in solved:
+            rank = _recovered_rank(x, kappa) if profile is None else profile.r_hat
+            solved[method].append((finish(x), rank, traces, time.perf_counter() - start))
+
+    for b, truth in channels:
         start = time.perf_counter()
-        xs, ranks = [], []
-        stages = iters = 0
-        for ci, (b, truth) in enumerate(channels):
-            if method == "lr":
-                x, traces = lrisd(a, b, cfg.solver, plan.baseline, solver_cfg)
-            elif method == "lrisd":
-                x, traces = lrisd(a, b, cfg.solver, plan.sve, solver_cfg)
-            else:
-                x, traces = _adjust_sweep(a, b, lrisd_ranks[ci], cfg, solver_cfg,
-                                          score=lambda xc: score(finish(xc), truth))
-            xs.append(finish(x))
-            ranks.append(_recovered_rank(x, kappa))
-            stages = max(stages, len(traces))
-            iters += sum(t.total_inner_iters for t in traces)
-            trace_rows.extend((seed, method, *row) for t in traces for row in t.rows())
-            sve_rows.extend(_sve_rows(seed, method, traces))
-        elapsed = time.perf_counter() - start
-        if method == "lrisd":
-            lrisd_ranks = ranks  # the centres of the adjust windows, which run next
+        traces = []
+        for x, trace, profile in lrisd_stages(a, b, cfg.solver, plan.sve, solver_cfg):
+            if trace.stage == 0:
+                keep("lr", start, x, [trace], profile)
+            traces.append(trace)
+        keep("lrisd", start, x, traces, profile)
+        if cfg.adjust is not None:
+            start = time.perf_counter()
+            x, traces = _adjust_sweep(a, b, solved["lrisd"][-1][1], cfg, solver_cfg,
+                                      score=lambda xc: score(finish(xc), truth))
+            keep("lrisd-adjust", start, x, traces)
+
+    metrics, trace_rows, sve_rows, timings, recoveries = [], [], [], [], []
+    for method in methods:
+        xs, ranks, runs, seconds = zip(*solved[method])
+        traces = [t for run in runs for t in run]
+        trace_rows.extend((seed, method, *row) for t in traces for row in t.rows())
+        sve_rows.extend(_sve_rows(seed, method, traces))
         metrics.append(_metrics_row(
             experiment=cfg.command, seed=seed, method=method, operator=cfg.operator,
             solver=cfg.solver, m=m, n=n, true_r=true_r, sr=cfg.sr, std=cfg.std, kappa=kappa,
             # only the setting the solver reads: mu for apgl, delta for the others
             delta=None if penalized else solver_cfg.delta, mu=cfg.mu if penalized else None,
-            rank_recovered=int(np.median(ranks)), stages=stages, inner_iters=iters,
+            rank_recovered=int(np.median(ranks)), stages=max(map(len, runs)),
+            inner_iters=sum(t.total_inner_iters for t in traces),
             reer=relative_error(xs, [truth for _, truth in channels])))
-        timings.append((cfg.command, seed, method, elapsed))
-        if done is not None:
-            done(metrics[-1], xs)
-    return metrics, trace_rows, sve_rows, timings
+        timings.append((cfg.command, seed, method, sum(seconds)))
+        recoveries.append(xs)
+    return (metrics, trace_rows, sve_rows, timings), recoveries
 
 
 def _adjust_sweep(a, b, r_center, cfg, solver_cfg, score):
@@ -392,7 +394,7 @@ def _synthetic_trial(plan: _Plan, seed: int):
                                  keep_dc=cfg.keep_dc)
     return _trial(plan, seed, a, [(b, x_star)],
                   score=lambda x, truth: -relative_error(x, truth),
-                  finish=lambda x: x, true_r=cfg.rank)
+                  finish=lambda x: x, true_r=cfg.rank)[0]
 
 
 def _operator_file(cfg: ExperimentConfig, shape):
@@ -411,8 +413,8 @@ def _operator_file(cfg: ExperimentConfig, shape):
 def _image_trial(plan: _Plan, image, a, seed: int, out: Path):
     """One completion trial over the image's channels, measured by `a`, or by
     the seed's random operator when `a` is None. Writes its operator and
-    masked input first, and each method's recovered image as soon as that
-    method ends; returns only its rows."""
+    masked input before the solves and its recovered images after them;
+    returns only its rows."""
     cfg = plan.cfg
     m, n = image[0].shape
     if a is None and cfg.operator == "mask":
@@ -430,15 +432,13 @@ def _image_trial(plan: _Plan, image, a, seed: int, out: Path):
     else:
         eval_mask = None  # transform-domain sampling leaves no pixel untouched
 
-    def done(row, xs):
-        report = psnr(xs, image, eval_mask)
-        row.update(psnr_db=report.psnr_db, se=report.se, mse=report.mse,
-                   t_count=report.t_count)
+    rows, recoveries = _trial(plan, seed, a, [(a.apply(c), c) for c in image],
+                              score=lambda x, truth: psnr(x, truth, eval_mask).psnr_db,
+                              finish=lambda x: np.clip(x, 0.0, 255.0))
+    for row, xs in zip(rows[0], recoveries):
+        row.update(asdict(psnr(xs, image, eval_mask)))  # its fields are metrics columns
         save_image(xs, out / f"recovered_{row['method']}{tag}.{ext}")
-
-    return _trial(plan, seed, a, [(a.apply(c), c) for c in image],
-                  score=lambda x, truth: psnr(x, truth, eval_mask).psnr_db,
-                  finish=lambda x: np.clip(x, 0.0, 255.0), done=done)
+    return rows
 
 
 # ---- plot data -----------------------------------------------------------

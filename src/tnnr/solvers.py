@@ -6,9 +6,9 @@ accelerated proximal gradient method for the penalized model, and a
 block-matrix ADMM with adaptive penalty that collapses the two constraints of
 the ADMM splitting into one. Each inner solver is a generator of update
 steps run by one shared loop, `_iterate`, which keeps the trace and applies
-the divergence guard, the stop test and the iteration cap. The multi-stage
-driver `lrisd` alternates rank estimation on the current recovery with inner
-solves until the estimated rank stabilizes.
+the divergence guard, the stop test and the iteration cap. The generator
+`lrisd_stages` alternates rank estimation on the current recovery with inner
+solves, one stage at a time, until the estimate stabilizes; `lrisd` runs it.
 """
 
 import math
@@ -30,6 +30,7 @@ __all__ = [
     "objective",
     "solve_with_rank",
     "lrisd",
+    "lrisd_stages",
     "momentum_step",
     "INNER_SOLVERS",
 ]
@@ -151,14 +152,15 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
     `steps(a, b, g, x0, cfg)` is a solver's step generator, started at
     x0 = A*(b) with g = L^T R; it starts its other iterates from copies of
     x0. (Sharing x0 would be as correct, but the changed heap layout made
-    glibc trim and refault the 300x300 temporaries of admm every iteration.) Once per iteration it yields the new X, its
-    thresholded singular values, the squared constraint gap (0 for a model
-    without one), the penalty in use and a dict of its other iterates. Each
-    shrink is handed the thresholded values of the one before it in the same
-    generator, from which `_shrink_factors` picks its eigensolver. The
-    loop records the trace row, guards against divergence and stops once both
-    the squared relative X-change and the gap, each divided by ||b||^2, fall
-    below inner_tol, or at max_inner_iters. Returns the last X.
+    glibc trim and refault the 300x300 temporaries of admm every iteration.)
+    Once per iteration it yields the new X, its thresholded singular values,
+    the squared constraint gap (0 for a model without one), the penalty in
+    use and a dict of its other iterates. Each shrink is handed the
+    thresholded values of the one before it in the same generator, from
+    which `_shrink_factors` picks its eigensolver. The loop records the trace
+    row, guards against divergence and stops once both the squared relative
+    X-change and the gap, each divided by ||b||^2, fall below inner_tol, or
+    at max_inner_iters. Returns the last X.
     """
     b = _as_measurement(b, a.p)
     x = a.adjoint(b)
@@ -303,13 +305,10 @@ INNER_SOLVERS = ("admm", "apgl", "admmap")
 
 
 def _run_inner(name: str, a: LinearMap, b, pair: TruncationPair, cfg: SolverConfig):
-    if name == "admm":
-        return tnnr_admm(a, b, pair, cfg)
-    if name == "apgl":
-        return tnnr_apgl(a, b, pair, cfg)
-    if name == "admmap":
-        return tnnr_admmap(a, b, pair, cfg)
-    raise ValueError(f"unknown inner solver {name!r}, expected one of {INNER_SOLVERS}")
+    solvers = {"admm": tnnr_admm, "apgl": tnnr_apgl, "admmap": tnnr_admmap}
+    if name not in solvers:
+        raise ValueError(f"unknown inner solver {name!r}, expected one of {INNER_SOLVERS}")
+    return solvers[name](a, b, pair, cfg)
 
 
 def solve_with_rank(a: LinearMap, b, r: int, inner: str = "admm",
@@ -326,9 +325,8 @@ def solve_with_rank(a: LinearMap, b, r: int, inner: str = "admm",
     """
     cfg = cfg or SolverConfig()
     b = _as_measurement(b, a.p)
-    m, n = a.shape
     if r == 0:
-        return _run_inner(inner, a, b, TruncationPair.empty(m, n), cfg)
+        return _run_inner(inner, a, b, TruncationPair.empty(*a.shape), cfg)
     denom = float(b @ b) or 1.0
     stage_trace = StageTrace(rank=int(r))
     x_l = a.adjoint(b)
@@ -345,47 +343,46 @@ def solve_with_rank(a: LinearMap, b, r: int, inner: str = "admm",
     return x_l, stage_trace
 
 
-def lrisd(a: LinearMap, b, inner: str = "admm", sve_cfg: SveConfig | None = None,
-          cfg: SolverConfig | None = None) -> tuple[np.ndarray, list[StageTrace]]:
-    """Multi-stage recovery: rank estimation alternating with inner solves.
+def lrisd_stages(a: LinearMap, b, inner: str = "admm", sve_cfg: SveConfig | None = None,
+                 cfg: SolverConfig | None = None):
+    """Multi-stage recovery, yielding (x, trace, profile) as each stage ends.
 
-    Stage 0 solves the plain nuclear-norm model (empty truncation pair). Each
-    later stage estimates the rank from the current recovery's spectrum and
-    solves the corresponding fixed-rank model. The outer loop ends when
-    consecutive rank estimates agree (sve_cfg.stability of them) or max_outer
-    stages have run. sve_cfg.max_outer = 0 yields the nuclear-norm baseline
-    through the same code path, and so does a shape with min(m, n) < 3.
+    Stage 0 solves the nuclear-norm model (empty truncation pair), each later
+    stage the fixed-rank model at the rank `trace.sve` estimated on the stage
+    before. `profile` is the estimate made on x; it is None for max_outer = 0,
+    min(m, n) < 3 and the last stage at the max_outer cap. The stages end when
+    sve_cfg.stability consecutive estimates agree or the first estimate is 0.
     """
     sve_cfg = sve_cfg or SveConfig()
-    cfg = cfg or SolverConfig()
-    b = _as_measurement(b, a.p)
-    m, n = a.shape
     # fewer than 3 singular values hold no jump to detect: keep stage 0
-    max_outer = sve_cfg.max_outer if min(m, n) >= 3 else 0
-    kappa = sve_cfg.resolve_kappa(m, n) if max_outer > 0 else None
-
-    def solve(r, stage):
+    max_outer = sve_cfg.max_outer if min(a.shape) >= 3 else 0
+    kappa = sve_cfg.resolve_kappa(*a.shape)
+    estimates: list[int] = []
+    profile = None
+    for stage in range(max_outer + 1):
         try:
-            return solve_with_rank(a, b, r, inner, cfg)
+            x, trace = solve_with_rank(a, b, profile.r_hat if stage else 0, inner, cfg)
         except SolverDivergence as e:
             e.trace.stage = stage
             raise SolverDivergence(f"stage {stage}: {e}", e.trace) from e
-
-    x_re, t0 = solve(0, 0)
-    t0.stage = 0
-    traces = [t0]
-    estimates: list[int] = []
-    for stage in range(1, max_outer + 1):
-        spectrum = np.linalg.svd(x_re, compute_uv=False)
-        profile = estimate_rank(spectrum, kappa)
+        trace.stage, trace.sve = stage, profile
+        if stage == max_outer:
+            yield x, trace, None
+            return
+        profile = estimate_rank(np.linalg.svd(x, compute_uv=False), kappa)
+        yield x, trace, profile
         estimates.append(profile.r_hat)
-        tail = estimates[-sve_cfg.stability:]
-        if len(tail) == sve_cfg.stability and len(set(tail)) == 1:
-            break
-        if stage == 1 and profile.r_hat == 0:
-            break  # an empty pair would reproduce stage 0 exactly
-        x_re, stage_trace = solve(profile.r_hat, stage)
-        stage_trace.stage = stage
-        stage_trace.sve = profile
-        traces.append(stage_trace)
-    return x_re, traces
+        if estimates[-sve_cfg.stability:] == [profile.r_hat] * sve_cfg.stability:
+            return
+        if stage == 0 and profile.r_hat == 0:
+            return  # an empty pair would reproduce stage 0 exactly
+
+
+def lrisd(a: LinearMap, b, inner: str = "admm", sve_cfg: SveConfig | None = None,
+          cfg: SolverConfig | None = None) -> tuple[np.ndarray, list[StageTrace]]:
+    """`lrisd_stages` run to its end: the last recovery and every stage's
+    trace. sve_cfg.max_outer = 0 gives stage 0, the nuclear-norm baseline."""
+    traces = []
+    for x, trace, _ in lrisd_stages(a, b, inner, sve_cfg, cfg):
+        traces.append(trace)
+    return x, traces

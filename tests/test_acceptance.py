@@ -21,6 +21,7 @@ from tnnr.operators import PartialDct2D, SamplingMask
 from tnnr.solvers import (
     SolverConfig,
     lrisd,
+    lrisd_stages,
     momentum_step,
     objective,
     tnnr_admm,
@@ -137,8 +138,9 @@ def test_criterion_5_multistage_beats_baseline():
         spec = SyntheticSpec(100, 100, 5, 0.5, 0.5, seed)
         x_star, a, b = synth_lowrank(spec, kind="dct")
         cfg = SolverConfig(delta=spec.std * np.sqrt(a.p))
-        x_base, _ = lrisd(a, b, "admm", SveConfig(max_outer=0), cfg)
-        x_isd, _ = lrisd(a, b, "admm", SveConfig(), cfg)
+        # the baseline is stage 0 of the multi-stage run, as in `tnnr compare`
+        xs = [x for x, _, _ in lrisd_stages(a, b, "admm", SveConfig(), cfg)]
+        x_base, x_isd = xs[0], xs[-1]
         reer_lr.append(relative_error(x_base, x_star))
         reer_isd.append(relative_error(x_isd, x_star))
         rank_hits += final_rank(x_isd, kappa) == 5

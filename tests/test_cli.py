@@ -18,8 +18,9 @@ from tnnr.cli import (
     main,
     run,
 )
-from tnnr.data import save_image
-from tnnr.sve import estimate_rank
+from tnnr.data import SyntheticSpec, save_image, synth_lowrank
+from tnnr.solvers import SolverConfig, lrisd, solve_with_rank
+from tnnr.sve import SveConfig, estimate_rank
 
 
 def read_csv(path):
@@ -400,6 +401,68 @@ class TestCompareCommand:
             assert (compare_out / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
 
+class TestOneStageRunPerChannel:
+    """lr is stage 0 of the same multi-stage run that gives lrisd."""
+
+    @staticmethod
+    def count_rank_zero_solves(monkeypatch):
+        import tnnr.solvers
+        solves, solve = [], tnnr.solvers.solve_with_rank
+
+        def counting(a, b, r, *args, **kwargs):
+            if r == 0:
+                solves.append(a.shape)
+            return solve(a, b, r, *args, **kwargs)
+
+        monkeypatch.setattr(tnnr.solvers, "solve_with_rank", counting)
+        return solves
+
+    def test_compare_solves_each_stage_zero_once(self, monkeypatch, tmp_path):
+        solves = self.count_rank_zero_solves(monkeypatch)
+        out = tmp_path / "o"
+        assert main(["compare", "--m", "30", "--n", "30", "--rank", "2", "--sr", "0.6",
+                     "--std", "0.3", "--trials", "2", "--seed", "5", "--inner-tol", "1e-3",
+                     "--max-inner-iters", "300", "--out", str(out)]) == 0
+        assert len(solves) == 2  # 2 trials x 1 channel
+        rows = read_csv(out / "metrics.csv")
+        assert [(r["seed"], r["method"]) for r in rows] == [
+            ("5", "lr"), ("5", "lrisd"), ("6", "lr"), ("6", "lrisd")]
+
+    def test_complete_solves_each_channel_stage_zero_once(self, monkeypatch, tmp_path):
+        solves = self.count_rank_zero_solves(monkeypatch)
+        image = make_test_image(tmp_path / "in.ppm", seed=3, size=12)
+        out = tmp_path / "o"
+        assert main(["complete", "--image", str(image), "--operator", "mask", "--sr", "0.6",
+                     "--kappa-mode", "real", "--max-inner-iters", "100",
+                     "--out", str(out)]) == 0
+        assert solves == [(12, 12)] * 3  # one per color channel
+        assert [r["method"] for r in read_csv(out / "metrics.csv")] == ["lr", "lrisd"]
+
+    @pytest.mark.parametrize("max_outer", [0, 1, None])
+    def test_ranks_match_the_library_recoveries(self, tmp_path, max_outer):
+        # --max-outer 0 and 1 leave lrisd's last stage without an estimate
+        # (1: the cap ends the stages); the default ends on agreeing estimates
+        out = tmp_path / "o"
+        argv = ["compare", "--m", "30", "--n", "30", "--rank", "2", "--sr", "0.6",
+                "--std", "0.3", "--seed", "5", "--inner-tol", "1e-3",
+                "--max-inner-iters", "300", "--out", str(out)]
+        if max_outer is not None:
+            argv += ["--max-outer", str(max_outer)]
+        assert main(argv) == 0
+        rows = {r["method"]: r for r in read_csv(out / "metrics.csv")}
+        _, a, b = synth_lowrank(SyntheticSpec(30, 30, 2, 0.6, 0.3, 5), kind="dct")
+        cfg = SolverConfig(delta=0.3 * float(np.sqrt(a.p)), inner_tol=1e-3, max_inner_iters=300)
+        sve = SveConfig() if max_outer is None else SveConfig(max_outer=max_outer)
+        kappa = sve.resolve_kappa(30, 30)
+        x_lr, _ = solve_with_rank(a, b, 0, "admm", cfg)
+        x_isd, traces = lrisd(a, b, "admm", sve, cfg)
+        assert (len(traces) == sve.max_outer + 1) == (max_outer is not None)  # capped
+        for method, x in (("lr", x_lr), ("lrisd", x_isd)):
+            expected = estimate_rank(np.linalg.svd(x, compute_uv=False), kappa).r_hat
+            assert int(rows[method]["rank_recovered"]) == expected
+            assert int(rows[method]["stages"]) == (1 if method == "lr" else len(traces))
+
+
 class TestDctSynthCommand:
     def test_rows_and_adjust(self, tmp_path):
         out = tmp_path / "ds"
@@ -561,20 +624,21 @@ class TestCompleteTrials:
         import tnnr.cli
         get, put = blas_threads
         put(4)
-        seen, solve = [], tnnr.cli.lrisd
+        seen, solve = [], tnnr.cli.lrisd_stages
 
         def recording(*args, **kwargs):
             seen.append(get())
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr("tnnr.cli.lrisd", recording)
+        monkeypatch.setattr("tnnr.cli.lrisd_stages", recording)
         monkeypatch.setenv("LOWRANK_THREADS", workers)
         image = make_test_image(tmp_path / "in.pgm", seed=5, color=False, size=12)
         assert main(["complete", "--image", str(image), "--operator", "mask", "--sr", "0.6",
                      "--kappa-mode", "real", "--trials", "2", "--max-inner-iters", "100",
                      "--out", str(tmp_path / "o")]) == 0
-        # 2 trials x (lr, lrisd), one grayscale channel; max(1, 4 // workers)
-        assert seen == [threads] * 4
+        # 2 trials x one grayscale channel, whose one run gives lr and lrisd;
+        # max(1, 4 // workers)
+        assert seen == [threads] * 2
         assert get() == 4
 
     def test_keep_file_round_trips(self, tmp_path):
@@ -726,7 +790,7 @@ class TestMainEntry:
         def explode(*args, **kwargs):
             raise SolverDivergence("stage 0: objective 1e+99", StageTrace())
 
-        monkeypatch.setattr("tnnr.cli.lrisd", explode)
+        monkeypatch.setattr("tnnr.cli.lrisd_stages", explode)
         code = main(["compare", "--m", "10", "--n", "10", "--rank", "1",
                      "--sr", "0.8", "--trials", "1", "--out", str(tmp_path / "x")])
         assert code == 1

@@ -21,6 +21,7 @@ from tnnr.solvers import (
     _admmap_steps,
     _apgl_steps,
     lrisd,
+    lrisd_stages,
     momentum_step,
     objective,
     solve_with_rank,
@@ -28,7 +29,7 @@ from tnnr.solvers import (
     tnnr_admmap,
     tnnr_apgl,
 )
-from tnnr.sve import SveConfig
+from tnnr.sve import SveConfig, estimate_rank
 
 from helpers import q_adjoint, q_apply
 
@@ -466,6 +467,32 @@ class TestLrisd:
         assert len(traces) == 1 and traces[0].rank == 0
         x_direct, _ = solve_with_rank(a, b, 0)
         assert np.array_equal(x, x_direct)
+        # with estimation on, the first stage is that same solve
+        x_first, first, _ = next(lrisd_stages(a, b))
+        assert first.stage == 0 and first.rank == 0
+        assert x_first.tobytes() == x_direct.tobytes()
+
+    @pytest.mark.parametrize("max_outer", [0, 1, 10])
+    def test_stages_yield_the_estimate_made_on_their_recovery(self, max_outer):
+        _, a, b = instance(20, 20, 2, 0.7, 0.0, 17)
+        sve_cfg = SveConfig(max_outer=max_outer)
+        kappa = sve_cfg.resolve_kappa(20, 20)
+        stages = list(lrisd_stages(a, b, sve_cfg=sve_cfg))
+        x, traces = lrisd(a, b, sve_cfg=sve_cfg)
+        assert [t.stage for _, t, _ in stages] == list(range(len(traces)))
+        assert stages[-1][0].tobytes() == x.tobytes()
+        for (_, _, profile), (_, later, _) in zip(stages, stages[1:]):
+            assert later.sve is profile and later.rank == profile.r_hat
+        # None exactly where no estimate is made: max_outer = 0 and the last
+        # stage at the cap; a run that stops on agreeing estimates made one
+        capped = len(stages) == max_outer + 1
+        assert capped == (max_outer < 10)
+        for i, (x_s, _, profile) in enumerate(stages):
+            if capped and i == len(stages) - 1:
+                assert profile is None
+            else:
+                spectrum = np.linalg.svd(x_s, compute_uv=False)
+                assert profile.r_hat == estimate_rank(spectrum, kappa).r_hat
 
     def test_stage_context_on_divergence(self):
         class ScaledMask(SamplingMask):
@@ -497,6 +524,7 @@ class TestLrisd:
         x0, _ = solve_with_rank(a, b, 0)
         assert len(traces) == 1 and traces[0].rank == 0 and traces[0].stage == 0
         assert np.array_equal(x, x0)
+        assert [profile for _, _, profile in lrisd_stages(a, b)] == [None]
 
     @pytest.mark.parametrize("inner", ["admm", "apgl", "admmap"])
     def test_rank_zero_reports_capped_solve(self, inner):
