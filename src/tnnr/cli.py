@@ -14,6 +14,12 @@ file and the masked and recovered images of each trial. CSV outputs are
 byte-identical across re-runs with the same configuration and thread
 settings; wall-clock timings go to a separate timings.csv that is exempt
 from that guarantee.
+
+A run is one thread pool of (trial, channel) units: a synthetic trial has
+one channel, an image trial one per color channel. Each trial's set-up runs
+in the pool just ahead of its units; the rows are reassembled in seed,
+method and channel order, and a trial is scored and written as soon as its
+last channel is solved.
 """
 
 import argparse
@@ -55,6 +61,8 @@ METRICS_COLUMNS = (
 )
 TRACE_COLUMNS = ("seed", "method", "stage", "l", "k", "objective", "residual", "beta")
 SVE_COLUMNS = ("seed", "method", "stage", "kappa", "r_hat", "index", "S", "St", "Stt")
+TIMINGS_COLUMNS = ("experiment", "seed", "method", "seconds", "workers", "blas_threads",
+                   "nproc")
 
 
 def _setting(default, help, reads=tuple(COMMANDS), solvers=INNER_SOLVERS, **flag):
@@ -283,21 +291,25 @@ def _openblas_thread_controls():
 
 @contextlib.contextmanager
 def _blas_threads_shared(workers: int):
-    """While `workers` > 1 trials run side by side, cap numpy's OpenBLAS at
+    """While `workers` > 1 units run side by side, cap numpy's OpenBLAS at
     max(1, n // workers) threads, n being its count on entry, so that the
     workers' BLAS threads do not outnumber the ones a single solve would use.
-    n is restored on exit, also when a trial raises. The count is
+    Yields the count in effect inside (None when OpenBLAS exports no thread
+    controls). n is restored on exit, also when a unit raises. The count is
     process-wide, so pools started from several threads at once would
     restore each other's counts."""
-    controls = _openblas_thread_controls() if workers > 1 else None
+    controls = _openblas_thread_controls()
     if controls is None:
-        yield
+        yield None
         return
     get, put = controls
     n = get()
+    if workers == 1:
+        yield n
+        return
     put(max(1, n // workers))
     try:
-        yield
+        yield get()
     finally:
         put(n)
 
@@ -318,58 +330,87 @@ def _sve_rows(seed, method, traces):
 # ---- trials --------------------------------------------------------------
 
 
-def _trial(plan: _Plan, seed: int, a, channels, score, finish, true_r=None):
-    """Run the command's methods on `channels`, each a (b, truth) pair
-    measured by `a`: lr is stage 0 and lrisd the last stage of one
-    `lrisd_stages` run per channel. `finish` maps a solver output to the
-    recovery that is scored; `score(x, truth)` ranks the adjust sweep's
-    finished recoveries (higher wins). Returns the rows (metrics, trace, sve,
-    timings; in method, stage and index order) and each method's recoveries."""
-    cfg, solver_cfg = plan.cfg, plan.solver
-    m, n = a.shape
-    penalized = cfg.solver == "apgl"
-    kappa = plan.sve.resolve_kappa(m, n)
+class _Trial(typing.NamedTuple):
+    """One trial's set-up: its operator `a` and, per channel, the (b, truth)
+    pair it measures. `finish` maps a solver output to the recovery that is
+    scored; `score(x, truth)` ranks the adjust sweep's finished recoveries
+    (higher wins). `write(row, xs)`, when given, completes a method's metrics
+    row and writes its recoveries."""
+
+    seed: int
+    a: typing.Any
+    channels: list
+    finish: typing.Callable
+    score: typing.Callable
+    true_r: int | None = None
+    write: typing.Callable | None = None
+
+
+def _methods(cfg: ExperimentConfig) -> list[str]:
     methods = ["lrisd"] if cfg.command in ("dct-synth", "sve-trace") else ["lr", "lrisd"]
     if cfg.adjust is not None:
         methods.append("lrisd-adjust")
-    solved = {method: [] for method in methods}  # (finished x, rank, traces, seconds)
+    return methods
+
+
+def _solve_channel(plan: _Plan, trial: _Trial, channel: int) -> dict:
+    """The command's methods on one channel of `trial`: lr is stage 0 and
+    lrisd the last stage of one `lrisd_stages` run, and lrisd-adjust sweeps
+    the ranks around this channel's own estimate. Returns, per method, its
+    (finished x, rank, traces, seconds)."""
+    cfg, solver_cfg = plan.cfg, plan.solver
+    a, (b, truth) = trial.a, trial.channels[channel]
+    kappa = plan.sve.resolve_kappa(*a.shape)
+    methods = _methods(cfg)
+    solved = {}
 
     def keep(method, start, x, traces, profile=None):
-        if method in solved:
+        if method in methods:
             rank = _recovered_rank(x, kappa) if profile is None else profile.r_hat
-            solved[method].append((finish(x), rank, traces, time.perf_counter() - start))
+            solved[method] = (trial.finish(x), rank, traces, time.perf_counter() - start)
 
-    for b, truth in channels:
+    start = time.perf_counter()
+    traces = []
+    for x, trace, profile in lrisd_stages(a, b, cfg.solver, plan.sve, solver_cfg):
+        if trace.stage == 0:
+            keep("lr", start, x, [trace], profile)
+        traces.append(trace)
+    keep("lrisd", start, x, traces, profile)
+    if cfg.adjust is not None:
         start = time.perf_counter()
-        traces = []
-        for x, trace, profile in lrisd_stages(a, b, cfg.solver, plan.sve, solver_cfg):
-            if trace.stage == 0:
-                keep("lr", start, x, [trace], profile)
-            traces.append(trace)
-        keep("lrisd", start, x, traces, profile)
-        if cfg.adjust is not None:
-            start = time.perf_counter()
-            x, traces = _adjust_sweep(a, b, solved["lrisd"][-1][1], cfg, solver_cfg,
-                                      score=lambda xc: score(finish(xc), truth))
-            keep("lrisd-adjust", start, x, traces)
+        x, traces = _adjust_sweep(a, b, solved["lrisd"][1], cfg, solver_cfg,
+                                  score=lambda xc: trial.score(trial.finish(xc), truth))
+        keep("lrisd-adjust", start, x, traces)
+    return solved
 
-    metrics, trace_rows, sve_rows, timings, recoveries = [], [], [], [], []
-    for method in methods:
-        xs, ranks, runs, seconds = zip(*solved[method])
+
+def _trial_rows(plan: _Plan, trial: _Trial, solved: list[dict]):
+    """The rows (metrics, trace, sve, timings; in method, stage and index
+    order, channels in order within a method) of a trial whose channels
+    are all solved; `trial.write` gets each method's recoveries."""
+    cfg, solver_cfg = plan.cfg, plan.solver
+    m, n = trial.a.shape
+    kappa = plan.sve.resolve_kappa(m, n)
+    penalized = cfg.solver == "apgl"
+    metrics, trace_rows, sve_rows, timings = [], [], [], []
+    for method in _methods(cfg):
+        xs, ranks, runs, seconds = zip(*(channel[method] for channel in solved))
         traces = [t for run in runs for t in run]
-        trace_rows.extend((seed, method, *row) for t in traces for row in t.rows())
-        sve_rows.extend(_sve_rows(seed, method, traces))
+        trace_rows.extend((trial.seed, method, *row) for t in traces for row in t.rows())
+        sve_rows.extend(_sve_rows(trial.seed, method, traces))
         metrics.append(_metrics_row(
-            experiment=cfg.command, seed=seed, method=method, operator=cfg.operator,
-            solver=cfg.solver, m=m, n=n, true_r=true_r, sr=cfg.sr, std=cfg.std, kappa=kappa,
+            experiment=cfg.command, seed=trial.seed, method=method, operator=cfg.operator,
+            solver=cfg.solver, m=m, n=n, true_r=trial.true_r, sr=cfg.sr, std=cfg.std,
+            kappa=kappa,
             # only the setting the solver reads: mu for apgl, delta for the others
             delta=None if penalized else solver_cfg.delta, mu=cfg.mu if penalized else None,
             rank_recovered=int(np.median(ranks)), stages=max(map(len, runs)),
             inner_iters=sum(t.total_inner_iters for t in traces),
-            reer=relative_error(xs, [truth for _, truth in channels])))
-        timings.append((cfg.command, seed, method, sum(seconds)))
-        recoveries.append(xs)
-    return (metrics, trace_rows, sve_rows, timings), recoveries
+            reer=relative_error(xs, [truth for _, truth in trial.channels])))
+        timings.append((cfg.command, trial.seed, method, sum(seconds)))
+        if trial.write is not None:
+            trial.write(metrics[-1], xs)
+    return metrics, trace_rows, sve_rows, timings
 
 
 def _adjust_sweep(a, b, r_center, cfg, solver_cfg, score):
@@ -388,13 +429,12 @@ def _adjust_sweep(a, b, r_center, cfg, solver_cfg, score):
     return best[1], merged
 
 
-def _synthetic_trial(plan: _Plan, seed: int):
+def _synthetic_trial(plan: _Plan, seed: int) -> _Trial:
     cfg = plan.cfg
     x_star, a, b = synth_lowrank(replace(plan.spec, seed=seed), kind=cfg.operator,
                                  keep_dc=cfg.keep_dc)
-    return _trial(plan, seed, a, [(b, x_star)],
-                  score=lambda x, truth: -relative_error(x, truth),
-                  finish=lambda x: x, true_r=cfg.rank)[0]
+    return _Trial(seed, a, [(b, x_star)], finish=lambda x: x,
+                  score=lambda x, truth: -relative_error(x, truth), true_r=cfg.rank)
 
 
 def _operator_file(cfg: ExperimentConfig, shape):
@@ -410,11 +450,11 @@ def _operator_file(cfg: ExperimentConfig, shape):
     return a
 
 
-def _image_trial(plan: _Plan, image, a, seed: int, out: Path):
+def _image_trial(plan: _Plan, image, a, seed: int, out: Path) -> _Trial:
     """One completion trial over the image's channels, measured by `a`, or by
     the seed's random operator when `a` is None. Writes its operator and
-    masked input before the solves and its recovered images after them;
-    returns only its rows."""
+    masked input; its `write` adds a method's PSNR to its row and writes its
+    recovered image."""
     cfg = plan.cfg
     m, n = image[0].shape
     if a is None and cfg.operator == "mask":
@@ -432,13 +472,13 @@ def _image_trial(plan: _Plan, image, a, seed: int, out: Path):
     else:
         eval_mask = None  # transform-domain sampling leaves no pixel untouched
 
-    rows, recoveries = _trial(plan, seed, a, [(a.apply(c), c) for c in image],
-                              score=lambda x, truth: psnr(x, truth, eval_mask).psnr_db,
-                              finish=lambda x: np.clip(x, 0.0, 255.0))
-    for row, xs in zip(rows[0], recoveries):
+    def write(row, xs):
         row.update(asdict(psnr(xs, image, eval_mask)))  # its fields are metrics columns
         save_image(xs, out / f"recovered_{row['method']}{tag}.{ext}")
-    return rows
+
+    return _Trial(seed, a, [(a.apply(c), c) for c in image],
+                  finish=lambda x: np.clip(x, 0.0, 255.0),
+                  score=lambda x, truth: psnr(x, truth, eval_mask).psnr_db, write=write)
 
 
 # ---- plot data -----------------------------------------------------------
@@ -502,23 +542,42 @@ def run(cfg: ExperimentConfig) -> int:
             raise ValueError(f"image {cfg.image} has shape {image[0].shape}; "
                              "complete needs at least 3x3 pixels")
         a = _operator_file(cfg, image[0].shape)  # read once, shared by every trial
-        trial = lambda seed: _image_trial(plan, image, a, seed, out)
+        setup, channels = (lambda seed: _image_trial(plan, image, a, seed, out)), len(image)
     else:
-        trial = lambda seed: _synthetic_trial(plan, seed)
-    # trials run side by side, under the BLAS thread cap (README, Threads);
-    # each completion trial writes its images as it goes and keeps only rows
-    workers = _worker_count(cfg.trials)
+        setup, channels = (lambda seed: _synthetic_trial(plan, seed)), 1
+    # one pool runs every channel of every trial as a unit, under the BLAS
+    # thread cap (README, Threads)
+    workers = _worker_count(cfg.trials * channels)
     out.mkdir(parents=True, exist_ok=True)
     cfg.to_file(out / "config.txt")
-    with _blas_threads_shared(workers), ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(trial, range(cfg.seed, cfg.seed + cfg.trials)))
-    # map keeps seed order, and each trial's rows come in method order
+    results = []
+    with (_blas_threads_shared(workers) as threads,
+          ThreadPoolExecutor(max_workers=workers) as pool):
+
+        def units():
+            # each trial's set-up is queued just ahead of its units, so a
+            # unit waits only on a set-up that a worker has already started
+            for seed in range(cfg.seed, cfg.seed + cfg.trials):
+                trial = pool.submit(setup, seed)
+                yield from ((trial, c) for c in range(channels))
+
+        def solve(unit):
+            trial = unit[0].result()
+            return trial, _solve_channel(plan, trial, unit[1])
+
+        solved = pool.map(solve, units())
+        # map yields in unit order: each trial is scored and written, and its
+        # set-up and recoveries dropped, as soon as its last channel is in
+        for _ in range(cfg.trials):
+            trials, channels_solved = zip(*(next(solved) for _ in range(channels)))
+            results.append(_trial_rows(plan, trials[0], channels_solved))
     metrics, traces, sves, timings = ([row for rows in part for row in rows]
                                       for part in zip(*results))
     _write_metrics(out / "metrics.csv", metrics)
     _write_csv(out / "trace.csv", TRACE_COLUMNS, traces)
     _write_csv(out / "sve.csv", SVE_COLUMNS, sves)
-    _write_csv(out / "timings.csv", ("experiment", "seed", "method", "seconds"), timings)
+    _write_csv(out / "timings.csv", TIMINGS_COLUMNS,
+               [(*row, workers, threads, os.cpu_count()) for row in timings])
 
     if cfg.command == "compare":
         by_method = {}

@@ -71,7 +71,8 @@ def synth_lowrank(spec: SyntheticSpec, kind: str = "dct",
 
 def _parse_netpbm(blob: bytes, path) -> tuple[bytes, int, int, int, bytes]:
     """Split a netpbm blob into (magic, width, height, maxval, raster);
-    headers may contain '#' comments."""
+    headers may contain '#' comments. The three numbers must be positive
+    decimal integers."""
     tokens = []
     i = 0
     while len(tokens) < 4:
@@ -89,10 +90,17 @@ def _parse_netpbm(blob: bytes, path) -> tuple[bytes, int, int, int, bytes]:
                 j += 1
             tokens.append(blob[i:j])
             i = j
+    magic, *numbers = tokens
+    if magic not in (b"P5", b"P6"):
+        raise ValueError(f"bad image file {path}: magic {magic!r} is not binary PGM/PPM")
+    for name, token in zip(("width", "height", "maxval"), numbers):
+        if not token.isdigit() or int(token) == 0:
+            raise ValueError(f"bad image file {path}: {name} {token.decode(errors='replace')!r} "
+                             "is not a positive integer")
     # exactly one whitespace byte separates the maxval from the raster
     if i >= len(blob) or not blob[i:i + 1].isspace():
         raise ValueError(f"bad image file {path}: missing raster separator")
-    return tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3]), blob[i + 1:]
+    return magic, *(int(t) for t in numbers), blob[i + 1:]
 
 
 def load_image(path) -> list[np.ndarray]:
@@ -102,8 +110,6 @@ def load_image(path) -> list[np.ndarray]:
     with open(path, "rb") as f:
         blob = f.read()
     magic, width, height, maxval, raster = _parse_netpbm(blob, path)
-    if magic not in (b"P5", b"P6"):
-        raise ValueError(f"bad image file {path}: magic {magic!r} is not binary PGM/PPM")
     if maxval != 255:
         raise ValueError(f"bad image file {path}: depth {maxval} != 255")
     channels = 1 if magic == b"P5" else 3

@@ -1,4 +1,5 @@
 import csv
+import os
 import sys
 from dataclasses import fields
 
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from tnnr.cli import (
     COMMANDS,
     _SETTINGS,
+    TRACE_COLUMNS,
     ExperimentConfig,
     _config_from_args,
+    _fmt,
     _kind,
     build_parser,
     emit_plot_data,
@@ -576,6 +579,15 @@ class TestCompleteCommand:
         assert code == 2
         assert "nope.ppm" in capsys.readouterr().err
 
+    def test_bad_image_header_names_file_and_field(self, tmp_path, capsys):
+        image = tmp_path / "neg.pgm"
+        image.write_bytes(b"P5\n-2 3\n255\n" + bytes(6))
+        out = tmp_path / "o"
+        assert main(["complete", "--image", str(image), "--out", str(out)]) == 2
+        assert (f"bad image file {image}: width '-2' is not a positive integer"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def complete_trials(tmp_path_factory):
@@ -618,9 +630,31 @@ class TestCompleteTrials:
         for name in names:
             assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
-    @pytest.mark.parametrize("workers, threads", [("2", 2), ("1", 4)])
+    def test_trace_rows_in_channel_order_within_a_method(self, complete_trials):
+        # each method's trace rows are its channels' stage rows, channel by
+        # channel, as the library gives them for that channel alone
+        from tnnr.data import load_image
+        from tnnr.operators import SamplingMask
+        from tnnr.solvers import lrisd_stages
+
+        out = complete_trials[0]
+        image = load_image(out.parent / "in.ppm")
+        cfg = SolverConfig(max_inner_iters=300)
+        expected = [list(TRACE_COLUMNS)]
+        for seed in self.SEEDS:
+            a = SamplingMask.from_file(out / f"operator_seed{seed}.txt")
+            runs = [list(lrisd_stages(a, a.apply(c), "admm", SveConfig(kappa_mode="real"), cfg))
+                    for c in image]
+            for method in self.METHODS:
+                stages = [run[:1] if method == "lr" else run for run in runs]
+                expected += [[str(seed), method, *map(_fmt, row)]
+                             for run in stages for _, trace, _ in run for row in trace.rows()]
+        _assert_cells_agree(_csv_cells(out / "trace.csv"), [c for r in expected for c in r])
+
+    @pytest.mark.parametrize("workers, threads, color, trials", [
+        ("2", 2, False, 2), ("1", 4, False, 2), ("2", 2, True, 1)])
     def test_pooled_trials_share_blas_threads(self, blas_threads, monkeypatch, tmp_path,
-                                              workers, threads):
+                                              workers, threads, color, trials):
         import tnnr.cli
         get, put = blas_threads
         put(4)
@@ -632,14 +666,20 @@ class TestCompleteTrials:
 
         monkeypatch.setattr("tnnr.cli.lrisd_stages", recording)
         monkeypatch.setenv("LOWRANK_THREADS", workers)
-        image = make_test_image(tmp_path / "in.pgm", seed=5, color=False, size=12)
+        image = make_test_image(tmp_path / ("in.ppm" if color else "in.pgm"), seed=5,
+                                color=color, size=12)
         assert main(["complete", "--image", str(image), "--operator", "mask", "--sr", "0.6",
-                     "--kappa-mode", "real", "--trials", "2", "--max-inner-iters", "100",
-                     "--out", str(tmp_path / "o")]) == 0
-        # 2 trials x one grayscale channel, whose one run gives lr and lrisd;
+                     "--kappa-mode", "real", "--trials", str(trials),
+                     "--max-inner-iters", "100", "--out", str(tmp_path / "o")]) == 0
+        # one run per (trial, channel) unit gives lr and lrisd;
         # max(1, 4 // workers)
-        assert seen == [threads] * 2
+        assert seen == [threads] * (trials * (3 if color else 1))
         assert get() == 4
+        timings = read_csv(tmp_path / "o" / "timings.csv")
+        assert len(timings) == 2 * trials
+        for row in timings:
+            assert (row["workers"], row["blas_threads"], row["nproc"]) == (
+                workers, str(threads), str(os.cpu_count()))
 
     def test_keep_file_round_trips(self, tmp_path):
         from tnnr.operators import PartialDct2D
@@ -815,18 +855,20 @@ class TestBlasThreadCap:
 
     @staticmethod
     def run_recording(monkeypatch, tmp_path, get, workers, trials, fail_seed=None):
-        seen = []
+        import tnnr.cli
+        seen, solve = [], tnnr.cli._solve_channel
 
-        def trial(cfg, seed):
+        def unit(plan, trial, channel):
             seen.append(get())
-            if seed == fail_seed:
-                raise RuntimeError(f"trial {seed} failed")
-            return [], [], [], []
+            if trial.seed == fail_seed:
+                raise RuntimeError(f"trial {trial.seed} failed")
+            return solve(plan, trial, channel)
 
-        monkeypatch.setattr("tnnr.cli._synthetic_trial", trial)
+        monkeypatch.setattr("tnnr.cli._solve_channel", unit)
         monkeypatch.setenv("LOWRANK_THREADS", str(workers))
         cfg = ExperimentConfig(command="compare", m=8, n=8, rank=1, trials=trials,
-                               seed=0, out=str(tmp_path / "stub"))
+                               max_inner_iters=20, max_refit_iters=1, seed=0,
+                               out=str(tmp_path / "o"))
         assert run(cfg) == 0
         return seen
 
@@ -907,33 +949,41 @@ class TestPooledCompareMatchesSerial:
 
 
 class TestPooledCompleteMatchesSerial:
-    """A pooled 3-trial color completion against the same run with one
-    worker: the BLAS thread cap may move floats only at rounding. The pool
-    has a worker per trial, more than two cores have, and switches threads
-    often, so that trials writing into one directory would show a race."""
+    """A pooled color completion against the same run with one worker: the
+    BLAS thread cap may move floats only at rounding. The pool has a worker
+    per (trial, channel) unit up to three, more than two cores have, and
+    switches threads often, so that units writing into one directory or
+    rows reassembled out of order would show a race. The cases: three
+    trials; one trial, whose three channels are the units; two trials with
+    --adjust, whose windows centre on each channel's own estimate."""
 
     @staticmethod
-    def complete(monkeypatch, image, out, workers):
+    def complete(monkeypatch, image, out, workers, args):
         monkeypatch.setenv("LOWRANK_THREADS", str(workers))
         assert main(["complete", "--image", str(image), "--operator", "mask", "--sr", "0.5",
-                     "--kappa-mode", "real", "--trials", "3", "--seed", "3",
-                     "--max-inner-iters", "300", "--out", str(out)]) == 0
+                     "--kappa-mode", "real", "--seed", "3", "--max-inner-iters", "300",
+                     "--out", str(out), *args]) == 0
         return out
 
-    def test_pool_agrees_with_one_worker(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("args, files", [
+        (["--trials", "3"], 3 * 4),  # per seed: operator, masked, lr and lrisd images
+        ([], 4),
+        (["--trials", "2", "--adjust", "1"], 2 * 5),  # and the lrisd-adjust image
+    ])
+    def test_pool_agrees_with_one_worker(self, monkeypatch, tmp_path, args, files):
         image = make_test_image(tmp_path / "in.ppm", seed=9, size=20)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            pooled = self.complete(monkeypatch, image, tmp_path / "pooled", 3)
+            pooled = self.complete(monkeypatch, image, tmp_path / "pooled", 3, args)
         finally:
             sys.setswitchinterval(interval)
-        serial = self.complete(monkeypatch, image, tmp_path / "serial", 1)
+        serial = self.complete(monkeypatch, image, tmp_path / "serial", 1, args)
         names = sorted(p.name for p in pooled.iterdir())
         assert names == sorted(p.name for p in serial.iterdir())
-        files = [n for n in names if n.endswith((".ppm", ".txt")) and n != "config.txt"]
-        assert len(files) == 3 * 4  # per seed: operator, masked, lr and lrisd images
-        for name in files:
+        written = [n for n in names if n.endswith((".ppm", ".txt")) and n != "config.txt"]
+        assert len(written) == files
+        for name in written:
             assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
         for name in ("metrics.csv", "trace.csv", "sve.csv"):
             _assert_cells_agree(_csv_cells(pooled / name), _csv_cells(serial / name))

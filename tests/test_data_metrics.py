@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnnr.data import SyntheticSpec, load_image, save_image, stream_rng, synth_lowrank
 from tnnr.metrics import psnr, relative_error
@@ -205,6 +207,42 @@ class TestImageIO:
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
         with pytest.raises(ValueError, match="raster"):
             load_image(path)
+
+    @pytest.mark.parametrize("field, header", [
+        ("width", b"P5\n-2 3\n255\n"),
+        ("width", b"P6\n0 3\n255\n"),
+        ("height", b"P5\n2 2x\n255\n"),
+        ("height", b"P5\n2 +3\n255\n"),
+        ("maxval", b"P5\n2 3\n0\n"),
+        ("maxval", b"P5\n2 3\n25.5\n"),
+    ])
+    def test_bad_header_number_names_file_and_field(self, tmp_path, field, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + bytes(18))
+        with pytest.raises(ValueError, match=f"bad image file .*bad.pgm: {field} .*"
+                                             "not a positive integer"):
+            load_image(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(magic=st.sampled_from([b"P5", b"P6", b"P2", b"P5x"]),
+           numbers=st.lists(st.one_of(st.integers(-3, 5).map(lambda v: str(v).encode()),
+                                      st.just(b"255"),
+                                      st.text("0123456789-+.xe", min_size=1, max_size=4)
+                                      .map(str.encode)),
+                            min_size=3, max_size=3))
+    def test_any_header_loads_or_names_the_file(self, tmp_path_factory, magic, numbers):
+        # a header either describes the raster that follows it or fails
+        # with a message that names the file
+        path = tmp_path_factory.mktemp("hdr") / "img.pgm"
+        path.write_bytes(b" ".join([magic, *numbers]) + b"\n" + bytes(75))
+        try:
+            loaded = load_image(path)
+        except ValueError as e:
+            assert str(e).startswith(f"bad image file {path}: ")
+            return
+        width, height = (int(t) for t in numbers[:2])
+        assert len(loaded) == (1 if magic == b"P5" else 3)
+        assert all(c.shape == (height, width) for c in loaded)
 
     def test_channel_spectra_profile(self, tmp_path):
         # channel matrices of a saved image admit spectrum profiling
