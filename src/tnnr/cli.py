@@ -2,8 +2,9 @@
 estimation traces, and baseline-vs-multistage comparisons.
 
 `ExperimentConfig`'s fields are the one table of settings: each declares its
-default, its flag's help and options, and the commands and inner solvers that
-read it. Each is a flag of every experiment command and a config-file key.
+default, its flag's help and options, and the commands, inner solvers and
+operators that read it. Each is a flag of every experiment command and a
+config-file key.
 `validate()` checks every field before a run writes anything, the same way
 from either source.
 
@@ -36,10 +37,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SyntheticSpec, load_image, save_image, stream_rng, synth_lowrank
+from .data import SyntheticSpec, load_image, random_operator, save_image, synth_lowrank
 from .linalg import _numpy_blas_functions
 from .metrics import psnr, relative_error
-from .operators import PartialDct2D, SamplingMask
+from .operators import OPERATORS
 from .solvers import INNER_SOLVERS, SolverConfig, SolverDivergence, lrisd_stages, solve_with_rank
 from .solvers import lrisd  # not called here: the benchmark's tracer wraps tnnr.cli.lrisd
 from .sve import SveConfig, estimate_rank
@@ -65,11 +66,17 @@ TIMINGS_COLUMNS = ("experiment", "seed", "method", "seconds", "workers", "blas_t
                    "nproc")
 
 
-def _setting(default, help, reads=tuple(COMMANDS), solvers=INNER_SOLVERS, **flag):
+def _setting(default, help, reads=tuple(COMMANDS), solvers=INNER_SOLVERS,
+             operators=tuple(OPERATORS), **flag):
     """An ExperimentConfig field: its default, its flag's help and extra
-    argparse options, and the commands and inner solvers that read it."""
-    return field(default=default,
-                 metadata={"help": help, "reads": reads, "solvers": solvers, "flag": flag})
+    argparse options, and the commands, inner solvers and operators that
+    read it."""
+    return field(default=default, metadata={"help": help, "flag": flag, "command": reads,
+                                            "solver": solvers, "operator": operators})
+
+
+# the fields that choose which settings are read, each with its choices
+_READERS = {"command": tuple(COMMANDS), "solver": INNER_SOLVERS, "operator": tuple(OPERATORS)}
 
 
 @dataclass
@@ -78,16 +85,18 @@ class ExperimentConfig:
     Its fields after `command` are the table of settings (`_setting`)."""
 
     command: str = ""
-    operator: str = _setting("dct", "measurement operator", choices=("mask", "dct"))
+    operator: str = _setting("dct", "measurement operator", choices=tuple(OPERATORS))
     m: int | None = _setting(None, "rows of the synthetic matrix", SYNTHETIC)
     n: int | None = _setting(None, "columns of the synthetic matrix", SYNTHETIC)
     rank: int | None = _setting(None, "ground-truth rank", SYNTHETIC)
     sr: float = _setting(0.5, "sample ratio (complete: of a random operator)")
     std: float = _setting(0.0, "measurement noise std", SYNTHETIC)
     image: str | None = _setting(None, "binary PGM/PPM input image", ("complete",))
-    mask_file: str | None = _setting(None, "mask index file (operator mask)", ("complete",))
-    keep_file: str | None = _setting(None, "DCT-keep index file (operator dct)", ("complete",))
-    keep_dc: bool = _setting(False, "keep the DC coefficient (operator dct)")
+    mask_file: str | None = _setting(None, "mask index file", ("complete",),
+                                     operators=("mask",))
+    keep_file: str | None = _setting(None, "DCT-keep index file", ("complete",),
+                                     operators=("dct",))
+    keep_dc: bool = _setting(False, "keep the DC coefficient", operators=("dct",))
     solver: str = _setting("admm", "inner solver", choices=INNER_SOLVERS)
     kappa_mode: str = _setting("synthetic", "heuristic that sets kappa if kappa is unset",
                                choices=("real", "synthetic"))
@@ -123,22 +132,19 @@ class ExperimentConfig:
             value, choices = getattr(self, f.name), f.metadata["flag"].get("choices")
             if choices and value not in choices:
                 fail(f.name, f"must be one of {choices}, got {value!r}")
+            if _kind(f.type) is float and value is not None and not np.isfinite(value):
+                fail(f.name, f"must be finite, got {value}")
             if value == f.default:
                 continue
-            reads, solvers = f.metadata["reads"], f.metadata["solvers"]
-            if self.command not in reads:
-                fail(f.name, f"the {self.command} command does not read it "
-                     f"(read by {', '.join(reads)})")
-            if self.solver not in solvers:
-                fail(f.name, f"the {self.solver} solver does not read it "
-                     f"(read by {', '.join(solvers)})")
+            for chooser in _READERS:
+                users, chosen = f.metadata[chooser], getattr(self, chooser)
+                if chosen not in users:
+                    fail(f.name, f"the {chosen} {chooser} does not read it "
+                         f"(read by {', '.join(users)})")
         if self.trials < 1:
             fail("trials", "must be >= 1")
         if self.adjust is not None and self.adjust < 0:
             fail("adjust", "window must be >= 0")
-        for f, operator in (("mask_file", "mask"), ("keep_file", "dct"), ("keep_dc", "dct")):
-            if getattr(self, f) and self.operator != operator:
-                fail(f, f"only valid with operator = {operator}")
         spec = None
         if self.command == "complete":
             if not self.image:
@@ -156,9 +162,9 @@ class ExperimentConfig:
             spec = _checked(SyntheticSpec, m=self.m, n=self.n, r=self.rank, sr=self.sr,
                             std=self.std, seed=self.seed)
         # ball radius: explicit if given, else the expected noise norm of a
-        # noisy synthetic run, sqrt(p) * std (its operators keep p >= 1), else 0
+        # noisy synthetic run, sqrt(p) * std, else 0
         delta = (self.delta if self.delta is not None
-                 else self.std * float(np.sqrt(max(spec.p, 1))) if self.std > 0 else 0.0)
+                 else self.std * float(np.sqrt(spec.p)) if self.std > 0 else 0.0)
         solver = _checked(SolverConfig, beta=self.beta, mu=self.mu, delta=delta,
                           inner_tol=self.inner_tol, outer_tol=self.outer_tol,
                           max_inner_iters=self.max_inner_iters,
@@ -440,10 +446,10 @@ def _synthetic_trial(plan: _Plan, seed: int) -> _Trial:
 def _operator_file(cfg: ExperimentConfig, shape):
     """The operator of `complete`'s --mask-file or --keep-file, checked
     against the image shape; None for a random operator."""
-    path = cfg.mask_file or cfg.keep_file  # validate() pairs each with its operator
+    path = cfg.mask_file or cfg.keep_file  # each is read by its own operator only
     if not path:
         return None
-    a = (SamplingMask if cfg.operator == "mask" else PartialDct2D).from_file(path)
+    a = OPERATORS[cfg.operator].from_file(path)
     if a.shape != shape:
         kind = "mask" if cfg.mask_file else "keep"
         raise ValueError(f"{kind} file shape {a.shape} does not match image {shape}")
@@ -457,10 +463,8 @@ def _image_trial(plan: _Plan, image, a, seed: int, out: Path) -> _Trial:
     recovered image."""
     cfg = plan.cfg
     m, n = image[0].shape
-    if a is None and cfg.operator == "mask":
-        a = SamplingMask.random(m, n, cfg.sr, stream_rng(seed, "mask"))
-    elif a is None:
-        a = PartialDct2D.random(m, n, cfg.sr, stream_rng(seed, "freqs"), keep_dc=cfg.keep_dc)
+    if a is None:
+        a = random_operator(cfg.operator, m, n, cfg.sr, seed, cfg.keep_dc)
     tag = f"_seed{seed}" if cfg.trials > 1 else ""
     ext = "pgm" if len(image) == 1 else "ppm"
     a.to_file(out / f"operator{tag}.txt")
@@ -611,10 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value config file; flags override it")
         for f in _SETTINGS:
             help = f.metadata["help"]
-            for users, every in ((f.metadata["reads"], COMMANDS),
-                                 (f.metadata["solvers"], INNER_SOLVERS)):
-                if len(users) < len(every):
-                    help += f"; read by {', '.join(users)} only"
+            for chooser, every in _READERS.items():
+                if len(f.metadata[chooser]) < len(every):
+                    help += f"; read by {', '.join(f.metadata[chooser])} only"
             kind = _kind(f.type)
             options = ({"action": "store_const", "const": True} if kind is bool
                        else {"type": kind, **f.metadata["flag"]})

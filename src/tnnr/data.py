@@ -9,9 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import LinearMap, PartialDct2D, SamplingMask
+from .operators import OPERATORS, LinearMap
 
-__all__ = ["SyntheticSpec", "stream_rng", "synth_lowrank", "load_image", "save_image"]
+__all__ = ["SyntheticSpec", "stream_rng", "random_operator", "synth_lowrank", "load_image",
+           "save_image"]
 
 _STREAMS = {"factors": 0, "noise": 1, "mask": 2, "freqs": 3}
 
@@ -42,27 +43,32 @@ class SyntheticSpec:
             raise ValueError(f"rank r={self.r} out of range [1, {min(self.m, self.n)}]")
         if not 0 < self.sr <= 1:
             raise ValueError(f"sample ratio must be in (0, 1], got {self.sr}")
-        if self.std < 0:
+        if not self.std >= 0:
             raise ValueError(f"noise std must be nonnegative, got {self.std}")
 
     @property
     def p(self) -> int:
-        return int(round(self.sr * self.m * self.n))
+        """The measurement count of the operator drawn for this spec."""
+        return max(int(round(self.sr * self.m * self.n)), 1)
+
+
+def random_operator(kind: str, m: int, n: int, sr: float, seed: int,
+                    keep_dc: bool = False) -> LinearMap:
+    """The seed's random operator of `kind`, a key of OPERATORS, at sample
+    ratio sr, drawn from that kind's stream; keep_dc is read by the DCT only."""
+    if kind not in OPERATORS:
+        raise ValueError(f"operator kind must be one of {tuple(OPERATORS)}, got {kind!r}")
+    cls = OPERATORS[kind]
+    return cls.random(m, n, sr, stream_rng(seed, cls.stream), keep_dc=keep_dc)
 
 
 def synth_lowrank(spec: SyntheticSpec, kind: str = "dct",
                   keep_dc: bool = False) -> tuple[np.ndarray, LinearMap, np.ndarray]:
-    """Draw (X*, A, b): X* = G1 G2 with standard normal factors, A a random
-    mask or partial DCT at spec.sr, and b = A(X*) + noise."""
+    """Draw (X*, A, b): X* = G1 G2 with standard normal factors, A the
+    seed's random operator of `kind` at spec.sr, and b = A(X*) + noise."""
     rng = stream_rng(spec.seed, "factors")
     x_star = rng.standard_normal((spec.m, spec.r)) @ rng.standard_normal((spec.r, spec.n))
-    if kind == "mask":
-        a = SamplingMask.random(spec.m, spec.n, spec.sr, stream_rng(spec.seed, "mask"))
-    elif kind == "dct":
-        a = PartialDct2D.random(spec.m, spec.n, spec.sr, stream_rng(spec.seed, "freqs"),
-                                keep_dc=keep_dc)
-    else:
-        raise ValueError(f"operator kind must be 'mask' or 'dct', got {kind!r}")
+    a = random_operator(kind, spec.m, spec.n, spec.sr, spec.seed, keep_dc)
     b = a.apply(x_star)
     if spec.std > 0:
         b = b + spec.std * stream_rng(spec.seed, "noise").standard_normal(a.p)

@@ -1,9 +1,14 @@
-"""Tight-frame measurement operators: entry sampling masks and partial 2-D
-orthonormal DCTs, with the ball projection they enable.
+"""Tight-frame measurement operators, with the ball projection they enable.
 
-Both operator kinds satisfy A A* = I on measurement space, which gives the
+Both operator kinds are one model, A = P_Omega T: an orthonormal transform T
+of the m x n grid (the identity for an entry sampling mask, the orthonormal
+2-D DCT for a partial DCT) read at p distinct slots Omega. T is orthonormal
+and the slots are distinct, so A A* = I on measurement space, which gives the
 closed-form projection onto {X : ||A(X) - b|| <= delta} used by the solvers.
+`OPERATORS` names the kinds.
 """
+
+from functools import partial
 
 import numpy as np
 from scipy import fft
@@ -14,6 +19,7 @@ __all__ = [
     "LinearMap",
     "SamplingMask",
     "PartialDct2D",
+    "OPERATORS",
     "project_ball",
 ]
 
@@ -27,49 +33,84 @@ def _as_measurement(y, p: int) -> np.ndarray:
     return y
 
 
-def _read_index_file(path, kind: str, width: int) -> tuple[int, int, np.ndarray]:
-    """Read an operator index file: an 'm n p' header line, then p lines of
-    `width` integers, one line per measurement. Returns m, n and the p x width
-    index array; a malformed file raises a ValueError naming `kind`."""
-    try:
-        with open(path) as f:
-            header = f.readline().split()
-            if len(header) != 3:
-                raise ValueError("first line must be 'm n p'")
-            m, n, p = (int(t) for t in header)
-            idx = np.loadtxt(f, dtype=np.intp, ndmin=2)
-    except (OSError, ValueError) as e:
-        raise ValueError(f"bad {kind} file {path}: {e}") from e
-    if idx.shape != (p, width):
-        raise ValueError(f"bad {kind} file {path}: expected {p} lines of {width} indices, "
-                         f"got shape {idx.shape}")
-    return m, n, idx
-
-
-def _write_index_file(path, shape, idx: np.ndarray) -> None:
-    """Write the format `_read_index_file` reads; idx holds one row (or, for
-    one index per measurement, one entry) per measurement."""
-    with open(path, "w") as f:
-        f.write(f"{shape[0]} {shape[1]} {len(idx)}\n")
-        np.savetxt(f, idx, fmt="%d")
-
-
 class LinearMap:
-    """Linear map A : R^{m x n} -> R^p with adjoint, satisfying A A* = I.
+    """A = P_Omega T : R^{m x n} -> R^p, with A A* = I.
 
-    Subclasses define apply and adjoint, all that the solvers call, and fix
-    the measurement order at construction, so reruns measure bit-identically.
+    `slots` holds the p distinct flat (row-major) indices of the entries of
+    T(X) that are measured, in measurement order. They are fixed at
+    construction, so reruns measure bit-identically. T is the identity here;
+    a subclass may set another orthonormal `transform` and its `inverse`.
+    A subclass also names its index-file lines (`columns`, the constructor's
+    index arrays, one line per measurement) and the file in errors
+    (`file_kind`); a kind in `OPERATORS` names the random stream of its
+    draw (`stream`, see `data.random_operator`).
     """
 
-    kind = "abstract"
+    columns = ("slots",)
+    file_kind = "operator"
+    has_dc = False  # whether T has a DC coefficient, at slot 0
 
-    def __init__(self, m: int, n: int, p: int):
+    def __init__(self, m: int, n: int, slots):
+        slots = np.asarray(slots, dtype=np.intp)
         if m < 1 or n < 1:
             raise ValueError(f"invalid domain shape ({m}, {n})")
-        if not 1 <= p <= m * n:
-            raise ValueError(f"measurement count p={p} out of range [1, {m * n}]")
+        if slots.ndim != 1:
+            raise ValueError(f"{self.file_kind} indices must be a 1-D array")
+        if not 1 <= slots.size <= m * n:
+            raise ValueError(f"measurement count p={slots.size} out of range [1, {m * n}]")
+        if slots.min() < 0 or slots.max() >= m * n:
+            raise ValueError(f"{self.file_kind} indices out of range")
+        if np.unique(slots).size != slots.size:
+            raise ValueError(f"{self.file_kind} indices must be distinct")
         self.shape = (int(m), int(n))
-        self.p = int(p)
+        self.p = slots.size
+        self.slots = slots
+
+    @classmethod
+    def _from_slots(cls, m: int, n: int, slots) -> "LinearMap":
+        return cls(m, n, slots)
+
+    @classmethod
+    def random(cls, m: int, n: int, sample_ratio: float, rng, keep_dc: bool = False):
+        """Uniform random max(round(sample_ratio * m * n), 1) slots, sorted
+        ascending; rng is a seed or a Generator. keep_dc puts the DC
+        coefficient, slot 0, in the first draw's place if it was not drawn;
+        an operator whose transform has none (has_dc) ignores it."""
+        if not 0 < sample_ratio <= 1:
+            raise ValueError(f"sample_ratio must be in (0, 1], got {sample_ratio}")
+        rng = np.random.default_rng(rng)
+        slots = rng.choice(m * n, size=max(int(round(sample_ratio * m * n)), 1), replace=False)
+        if keep_dc and cls.has_dc and 0 not in slots:
+            slots[0] = 0
+        return cls._from_slots(m, n, np.sort(slots))
+
+    @classmethod
+    def from_file(cls, path):
+        """Read an index file: an 'm n p' header line, then p lines of
+        len(columns) integers, one line per measurement. A malformed file, or
+        indices the constructor rejects, raise a ValueError naming
+        `file_kind` and the path."""
+        try:
+            with open(path) as f:
+                header = f.readline().split()
+                if len(header) != 3:
+                    raise ValueError("first line must be 'm n p'")
+                m, n, p = (int(t) for t in header)
+                if p < 1:
+                    raise ValueError(f"measurement count p={p} must be >= 1")
+                idx = np.loadtxt(f, dtype=np.intp, ndmin=2)
+            if idx.shape != (p, len(cls.columns)):
+                raise ValueError(f"expected {p} lines of {len(cls.columns)} indices, "
+                                 f"got shape {idx.shape}")
+            return cls(m, n, *idx.T)
+        except (OSError, ValueError) as e:
+            raise ValueError(f"bad {cls.file_kind} file {path}: {e}") from e
+
+    def to_file(self, path) -> None:
+        """Write the format `from_file` reads."""
+        with open(path, "w") as f:
+            f.write(f"{self.shape[0]} {self.shape[1]} {self.p}\n")
+            np.savetxt(f, np.column_stack([getattr(self, c) for c in self.columns]), fmt="%d")
 
     def _check_domain(self, x) -> np.ndarray:
         x = as_matrix(x)
@@ -77,120 +118,77 @@ class LinearMap:
             raise ValueError(f"matrix shape {x.shape} does not match operator domain {self.shape}")
         return x
 
+    transform = inverse = staticmethod(lambda x: x)
+
     def apply(self, x) -> np.ndarray:
-        """A(X): measure a matrix, returning a length-p vector."""
-        raise NotImplementedError
+        """A(X): T(X) read at the slots, a length-p vector."""
+        x = self._check_domain(x)
+        return self.transform(x).ravel()[self.slots]
 
     def adjoint(self, y) -> np.ndarray:
-        """A*(y): map a measurement vector back to an m x n matrix."""
-        raise NotImplementedError
+        """A*(y): T^-1 of y scattered into the slots of a zero m x n grid."""
+        y = _as_measurement(y, self.p)
+        c = np.zeros(self.shape[0] * self.shape[1])
+        c[self.slots] = y
+        return self.inverse(c.reshape(self.shape))
 
 
 class SamplingMask(LinearMap):
-    """Observation of p distinct entries, in a fixed recorded order."""
+    """Observation of p distinct entries (rows[k], cols[k]), in a fixed
+    recorded order; index-file lines are 'i j'."""
 
-    kind = "mask"
+    columns = ("rows", "cols")
+    file_kind = "mask"
+    stream = "mask"
 
     def __init__(self, m: int, n: int, rows, cols):
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         if rows.ndim != 1 or rows.shape != cols.shape:
             raise ValueError("rows and cols must be 1-D arrays of equal length")
-        super().__init__(m, n, rows.size)
-        if rows.size and (rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n):
+        # with every column in range, the flat range check is the row check
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
             raise ValueError("mask indices out of range")
-        flat = rows * n + cols
-        if np.unique(flat).size != flat.size:
-            raise ValueError("mask indices must be distinct")
-        self.rows = rows
-        self.cols = cols
+        super().__init__(m, n, rows * n + cols)
 
     @classmethod
-    def random(cls, m: int, n: int, sample_ratio: float, rng) -> "SamplingMask":
-        """Uniform random mask over round(sample_ratio * m * n) entries,
-        stored in lexicographic order. rng is a seed or a Generator."""
-        if not 0 < sample_ratio <= 1:
-            raise ValueError(f"sample_ratio must be in (0, 1], got {sample_ratio}")
-        rng = np.random.default_rng(rng)
-        p = int(round(sample_ratio * m * n))
-        flat = np.sort(rng.choice(m * n, size=max(p, 1), replace=False))
-        return cls(m, n, flat // n, flat % n)
+    def _from_slots(cls, m: int, n: int, slots) -> "SamplingMask":
+        return cls(m, n, *np.divmod(slots, n))
 
-    @classmethod
-    def from_file(cls, path) -> "SamplingMask":
-        m, n, idx = _read_index_file(path, "mask", 2)
-        return cls(m, n, idx[:, 0], idx[:, 1])
+    @property
+    def rows(self) -> np.ndarray:
+        return self.slots // self.shape[1]
 
-    def to_file(self, path) -> None:
-        _write_index_file(path, self.shape, np.column_stack((self.rows, self.cols)))
-
-    def apply(self, x) -> np.ndarray:
-        x = self._check_domain(x)
-        return x[self.rows, self.cols]
-
-    def adjoint(self, y) -> np.ndarray:
-        y = _as_measurement(y, self.p)
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = y
-        return out
+    @property
+    def cols(self) -> np.ndarray:
+        return self.slots % self.shape[1]
 
     def observed(self) -> np.ndarray:
         """Boolean m x n array, True at observed entries."""
-        obs = np.zeros(self.shape, dtype=bool)
-        obs[self.rows, self.cols] = True
-        return obs
+        obs = np.zeros(self.shape[0] * self.shape[1], dtype=bool)
+        obs[self.slots] = True
+        return obs.reshape(self.shape)
 
 
 class PartialDct2D(LinearMap):
-    """Restriction of the orthonormal 2-D type-II DCT to p kept coefficients.
+    """Restriction of the orthonormal 2-D type-II DCT to p kept coefficients,
+    `kept` indexing the flattened m x n coefficient grid row-major;
+    index-file lines hold one such index."""
 
-    `kept` indexes the flattened m x n coefficient grid row-major; the full
-    transform is orthonormal, so the restriction satisfies A A* = I.
-    """
+    columns = ("kept",)
+    file_kind = "DCT-keep"
+    stream = "freqs"
+    has_dc = True
 
-    kind = "dct"
+    @property
+    def kept(self) -> np.ndarray:
+        return self.slots
 
-    def __init__(self, m: int, n: int, kept):
-        kept = np.asarray(kept, dtype=np.intp)
-        if kept.ndim != 1:
-            raise ValueError("kept must be a 1-D index array")
-        super().__init__(m, n, kept.size)
-        if kept.size and (kept.min() < 0 or kept.max() >= m * n):
-            raise ValueError("kept frequency indices out of range")
-        if np.unique(kept).size != kept.size:
-            raise ValueError("kept frequency indices must be distinct")
-        self.kept = kept
+    transform = staticmethod(partial(fft.dctn, norm="ortho"))
+    inverse = staticmethod(partial(fft.idctn, norm="ortho"))
 
-    @classmethod
-    def random(cls, m: int, n: int, sample_ratio: float, rng, keep_dc: bool = False) -> "PartialDct2D":
-        """Uniform random frequency subset, sorted ascending. keep_dc forces
-        the DC coefficient into the subset (off by default)."""
-        if not 0 < sample_ratio <= 1:
-            raise ValueError(f"sample_ratio must be in (0, 1], got {sample_ratio}")
-        rng = np.random.default_rng(rng)
-        p = max(int(round(sample_ratio * m * n)), 1)
-        kept = rng.choice(m * n, size=p, replace=False)
-        if keep_dc and 0 not in kept:
-            kept[0] = 0
-        return cls(m, n, np.sort(kept))
 
-    @classmethod
-    def from_file(cls, path) -> "PartialDct2D":
-        m, n, idx = _read_index_file(path, "DCT-keep", 1)
-        return cls(m, n, idx[:, 0])
-
-    def to_file(self, path) -> None:
-        _write_index_file(path, self.shape, self.kept)
-
-    def apply(self, x) -> np.ndarray:
-        x = self._check_domain(x)
-        return fft.dctn(x, norm="ortho").ravel()[self.kept]
-
-    def adjoint(self, y) -> np.ndarray:
-        y = _as_measurement(y, self.p)
-        c = np.zeros(self.shape[0] * self.shape[1])
-        c[self.kept] = y
-        return fft.idctn(c.reshape(self.shape), norm="ortho")
+OPERATORS = {"mask": SamplingMask, "dct": PartialDct2D}
 
 
 def project_ball(a: LinearMap, y, b, delta: float) -> np.ndarray:

@@ -68,11 +68,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.beta <= BETA_MAX:
             raise ValueError(f"beta must lie in (0, {BETA_MAX:g}], got {self.beta}")
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
-        if self.inner_tol <= 0 or self.outer_tol <= 0:
+        if not (self.inner_tol > 0 and self.outer_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_inner_iters < 1 or self.max_refit_iters < 1:
             raise ValueError("iteration caps must be >= 1")

@@ -82,11 +82,11 @@ class SveConfig:
         if self.kappa_mode not in ("explicit", "real", "synthetic"):
             raise ValueError(f"kappa_mode must be explicit, real or synthetic, got {self.kappa_mode!r}")
         if self.kappa_mode == "explicit":
-            if self.kappa is None or self.kappa <= 0:
+            if self.kappa is None or not self.kappa > 0:
                 raise ValueError("explicit kappa_mode requires a positive kappa")
         elif self.kappa is not None:
             raise ValueError("kappa may only be set with kappa_mode='explicit'")
-        if self.s <= 0:
+        if not self.s > 0:
             raise ValueError(f"s must be positive, got {self.s}")
         if self.max_outer < 0:
             raise ValueError("max_outer must be >= 0")

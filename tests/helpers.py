@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tnnr.linalg import as_matrix
-from tnnr.operators import LinearMap, SamplingMask
+from tnnr.operators import LinearMap
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,6 @@ def svd(x) -> SvdFactors:
     return SvdFactors(U=u, S=s, V=v)
 
 
-def _slots(a: LinearMap) -> np.ndarray:
-    """Flat indices of the p measurement slots in an m x n grid: the observed
-    entries of a mask, or the kept coefficients of a partial DCT."""
-    return a.rows * a.shape[1] + a.cols if isinstance(a, SamplingMask) else a.kept
-
-
 def q_apply(y, a: LinearMap) -> np.ndarray:
     """Block embedding Q(Y) = [[-Y, 0], [0, embed(A(Y))]] of size 2m x 2n,
     where embed, the isometric matrix form of a measurement vector, scatters
@@ -71,7 +65,7 @@ def q_apply(y, a: LinearMap) -> np.ndarray:
     w = np.zeros((2 * m, 2 * n))
     w[:m, :n] = -y
     w22 = np.zeros(m * n)
-    w22[_slots(a)] = a.apply(y)
+    w22[a.slots] = a.apply(y)
     w[m:, n:] = w22.reshape(m, n)
     return w
 
@@ -83,7 +77,7 @@ def q_adjoint(w, a: LinearMap) -> np.ndarray:
     m, n = a.shape
     if w.shape != (2 * m, 2 * n):
         raise ValueError(f"expected block matrix of shape {(2 * m, 2 * n)}, got {w.shape}")
-    return -w[:m, :n] + a.adjoint(w[m:, n:].reshape(-1)[_slots(a)])
+    return -w[:m, :n] + a.adjoint(w[m:, n:].reshape(-1)[a.slots])
 
 
 def inverse_identity_check(a: LinearMap, alpha: float, x) -> float:

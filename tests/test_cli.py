@@ -102,7 +102,7 @@ def _unread(command):
     default."""
     samples = {int: 7, float: 0.25, str: "x.txt", bool: True}
     return [(f.name, samples[_kind(f.type)]) for f in _SETTINGS
-            if command not in f.metadata["reads"]]
+            if command not in f.metadata["command"]]
 
 
 def _argv_value(name, value):
@@ -195,6 +195,26 @@ class TestSettingsTable:
         assert "--stability" in text
         assert "read by complete only" in text
         assert "read by complete, dct-synth, compare only" in text
+        assert "--mask-file MASK_FILE mask index file; read by complete only; read by mask " \
+            "only" in text
+        assert "keep the DC coefficient; read by dct only" in text
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [f.name for f in _SETTINGS if _kind(f.type) is float])
+    def test_non_finite_float_fails_alike_from_flag_and_file(self, tmp_path, capsys,
+                                                             name, value):
+        config = tmp_path / "c.txt"
+        config.write_text(f"{name} = {value}\n")
+        out = tmp_path / "o"
+        results = []
+        for given in (_argv_value(name, value), ["--config", str(config)]):
+            code = main(["compare", "--m", "12", "--n", "12", "--rank", "2",
+                         "--max-inner-iters", "50", *given, "--out", str(out)])
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == 2
+        assert f"config field '{name}': must be finite, got {float(value)}" in results[0][1]
+        assert not out.exists()
 
 
 def _setting_values(f):
@@ -293,6 +313,23 @@ class TestOperatorFieldsOutsideTheirUse:
                      "--rank", "1", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config field 'keep_file'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value, operator", [
+        ("mask_file", "m.txt", "dct"), ("keep_file", "k.txt", "mask"), ("keep_dc", True, "mask")])
+    def test_setting_the_operator_does_not_read_fails_alike_from_flag_and_file(
+            self, tmp_path, capsys, name, value, operator):
+        config = tmp_path / "c.txt"
+        config.write_text(f"operator = {operator}\n{name} = {value}\n")
+        out = tmp_path / "o"
+        results = []
+        for given in (["--operator", operator, *_argv_value(name, value)],
+                      ["--config", str(config)]):
+            code = main(["complete", "--image", "in.pgm", *given, "--out", str(out)])
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == 2
+        assert f"config field '{name}': the {operator} operator does not read it" in results[0][1]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["compare", "complete"])
     def test_keep_dc_with_mask_operator(self, tmp_path, capsys, command):

@@ -21,6 +21,8 @@ class TestSyntheticSpec:
         {"m": 5, "n": 5, "r": 1, "sr": 0.0},
         {"m": 5, "n": 5, "r": 1, "sr": 1.1},
         {"m": 5, "n": 5, "r": 1, "sr": 0.5, "std": -1.0},
+        {"m": 5, "n": 5, "r": 1, "sr": float("nan")},
+        {"m": 5, "n": 5, "r": 1, "sr": 0.5, "std": float("nan")},
     ])
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ValueError):
@@ -61,6 +63,28 @@ class TestSynthLowrank:
         noise = b - a.apply(x_star)
         assert noise.size >= 1e5
         assert abs(noise.std() - 1.7) / 1.7 <= 0.02
+
+    @pytest.mark.parametrize("kind", ["mask", "dct"])
+    def test_p_is_the_drawn_count(self, kind):
+        spec = SyntheticSpec(5, 5, 1, 0.01)  # round(0.25) = 0, and every draw keeps one
+        assert spec.p == synth_lowrank(spec, kind=kind)[1].p == 1
+
+    # literal draws, as in TestPinnedDraws; keep_dc is read by the DCT only
+    @pytest.mark.parametrize("seed, kind, keep_dc, slots", [
+        (0, "mask", False, [1, 2, 3, 4, 6, 10, 12, 16]),
+        (0, "mask", True, [1, 2, 3, 4, 6, 10, 12, 16]),
+        (0, "dct", False, [5, 6, 11, 12, 13, 14, 18, 19]),
+        (0, "dct", True, [0, 5, 6, 11, 13, 14, 18, 19]),
+        (7, "mask", False, [2, 3, 7, 10, 13, 16, 17, 19]),
+        (7, "mask", True, [2, 3, 7, 10, 13, 16, 17, 19]),
+        (7, "dct", False, [2, 4, 5, 8, 9, 13, 14, 19]),
+        (7, "dct", True, [0, 2, 4, 5, 8, 9, 13, 19]),
+    ])
+    def test_pinned_draws(self, seed, kind, keep_dc, slots):
+        _, a, _ = synth_lowrank(SyntheticSpec(5, 4, 1, 0.4, seed=seed), kind=kind,
+                                keep_dc=keep_dc)
+        flat = a.rows * 4 + a.cols if kind == "mask" else a.kept
+        assert np.array_equal(flat, slots)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

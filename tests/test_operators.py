@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft
 
 from tnnr.operators import PartialDct2D, SamplingMask, project_ball
 
@@ -110,12 +111,38 @@ class TestIndexFiles:
         (SamplingMask, "mask", "3 3\n0 0\n"),
         (PartialDct2D, "DCT-keep", "3 3 3\n0\n4\n"),
         (PartialDct2D, "DCT-keep", "3 3 1\n0 4\n"),
+        (SamplingMask, "mask", "8 8 2\n1 1\n1 1\n"),  # a repeated entry
+        (SamplingMask, "mask", "8 8 1\n9 0\n"),  # row 9 of 8
+        (PartialDct2D, "DCT-keep", "8 8 1\n64\n"),  # keep index 64 of 64
+        (SamplingMask, "mask", "8 8 0\n"),  # p = 0, rejected before the body
     ])
+    @pytest.mark.filterwarnings("error")  # numpy's empty-input warning included
     def test_bad_file_names_its_kind(self, tmp_path, cls, kind, text):
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"bad {kind} file .*bad.txt"):
             cls.from_file(path)
+
+
+class TestPinnedDraws:
+    """The random draws equal literal index arrays, so any change in the
+    generator calls, which would move every random operator, fails here."""
+
+    @pytest.mark.parametrize("seed, flat", [(3, [1, 2, 3, 10, 11, 14, 16, 18]),
+                                            (12345, [3, 5, 9, 11, 12, 13, 14, 16])])
+    def test_mask(self, seed, flat):
+        mask = SamplingMask.random(5, 4, 0.4, seed)
+        assert np.array_equal(mask.rows, np.divmod(flat, 4)[0])
+        assert np.array_equal(mask.cols, np.divmod(flat, 4)[1])
+
+    @pytest.mark.parametrize("seed, keep_dc, kept", [
+        (3, False, [1, 2, 3, 10, 11, 14, 16, 18]),
+        (3, True, [0, 1, 2, 10, 11, 14, 16, 18]),
+        (12345, False, [3, 5, 9, 11, 12, 13, 14, 16]),
+        (12345, True, [0, 3, 9, 11, 12, 13, 14, 16]),
+    ])
+    def test_dct(self, seed, keep_dc, kept):
+        assert np.array_equal(PartialDct2D.random(5, 4, 0.4, seed, keep_dc=keep_dc).kept, kept)
 
 
 @pytest.mark.parametrize("kind", ["mask", "dct"])
@@ -242,9 +269,38 @@ def degenerate_operators(draw):
     return op, rng
 
 
+def reference_pair(op):
+    """apply and adjoint of `op` built apart from the operator classes."""
+    m, n = op.shape
+    if isinstance(op, SamplingMask):
+        def adjoint(y):
+            out = np.zeros((m, n))
+            out[op.rows, op.cols] = y
+            return out
+
+        return (lambda x: x[op.rows, op.cols]), adjoint
+
+    def adjoint(y):
+        c = np.zeros(m * n)
+        c[op.kept] = y
+        return fft.idctn(c.reshape(m, n), norm="ortho")
+
+    return (lambda x: fft.dctn(x, norm="ortho").ravel()[op.kept]), adjoint
+
+
 class TestDegenerateShapes:
     """The tight-frame identities and the ball projection at 1 x n, n x 1,
     p = 1 and p = m n."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=degenerate_operators())
+    def test_apply_and_adjoint_match_a_reference_bit_for_bit(self, case):
+        op, rng = case
+        apply, adjoint = reference_pair(op)
+        x = rng.standard_normal(op.shape)
+        y = rng.standard_normal(op.p)
+        assert np.array_equal(op.apply(x), apply(x))
+        assert np.array_equal(op.adjoint(y), adjoint(y))
 
     @settings(max_examples=150, deadline=None)
     @given(case=degenerate_operators())

@@ -87,6 +87,7 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
         {"beta": 0.0}, {"beta": 2e6}, {"mu": -1.0}, {"delta": -0.1},
         {"inner_tol": 0.0}, {"max_inner_iters": 0},
+        *({name: float("nan")} for name in ("beta", "mu", "delta", "inner_tol", "outer_tol")),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -92,6 +92,12 @@ class TestSveConfig:
         with pytest.raises(ValueError):
             SveConfig(kappa_mode="explicit")
 
+    @pytest.mark.parametrize("kwargs", [{"kappa_mode": "explicit", "kappa": float("nan")},
+                                        {"s": float("nan")}])
+    def test_rejects_nan(self, kwargs):
+        with pytest.raises(ValueError):
+            SveConfig(**kwargs)
+
     def test_heuristic_forbids_kappa(self):
         with pytest.raises(ValueError):
             SveConfig(kappa_mode="real", kappa=5.0)
