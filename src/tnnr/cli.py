@@ -252,8 +252,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
     return str(value)
 
 
@@ -297,9 +295,10 @@ def _openblas_thread_controls():
 
 @contextlib.contextmanager
 def _blas_threads_shared(workers: int):
-    """While `workers` > 1 units run side by side, cap numpy's OpenBLAS at
-    max(1, n // workers) threads, n being its count on entry, so that the
-    workers' BLAS threads do not outnumber the ones a single solve would use.
+    """While `workers` units run side by side, cap numpy's OpenBLAS at
+    max(1, n // workers) threads, n being its count on entry (one worker
+    keeps n), so that the workers' BLAS threads do not outnumber the ones a
+    single solve would use.
     Yields the count in effect inside (None when OpenBLAS exports no thread
     controls). n is restored on exit, also when a unit raises. The count is
     process-wide, so pools started from several threads at once would
@@ -310,9 +309,6 @@ def _blas_threads_shared(workers: int):
         return
     get, put = controls
     n = get()
-    if workers == 1:
-        yield n
-        return
     put(max(1, n // workers))
     try:
         yield get()

@@ -123,10 +123,8 @@ def load_image(path) -> list[np.ndarray]:
     if len(raster) < expected:
         raise ValueError(f"bad image file {path}: raster has {len(raster)} bytes, need {expected}")
     pixels = np.frombuffer(raster[:expected], dtype=np.uint8)
-    if channels == 1:
-        return [pixels.reshape(height, width).astype(np.float64)]
-    planes = pixels.reshape(height, width, 3).astype(np.float64)
-    return [planes[:, :, c] for c in range(3)]
+    planes = pixels.reshape(height, width, channels).astype(np.float64)
+    return [planes[:, :, c] for c in range(channels)]
 
 
 def save_image(channels, path) -> None:
@@ -140,10 +138,7 @@ def save_image(channels, path) -> None:
         raise ValueError("all channels must be 2-D matrices of equal shape")
     height, width = shape
     quantized = [np.clip(np.round(c), 0, 255).astype(np.uint8) for c in channels]
-    if len(quantized) == 1:
-        magic, raster = b"P5", quantized[0].tobytes()
-    else:
-        magic, raster = b"P6", np.stack(quantized, axis=-1).tobytes()
+    magic = b"P5" if len(quantized) == 1 else b"P6"
     with open(path, "wb") as f:
         f.write(magic + b"\n%d %d\n255\n" % (width, height))
-        f.write(raster)
+        f.write(np.stack(quantized, axis=-1).tobytes())

@@ -33,9 +33,6 @@ def _dense_shrink(x: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     s2 = s - tau
     np.clip(s2, 0.0, None, out=s2)
-    if not s2.any():
-        # exact zero matrix, not a round-tripped near-zero
-        return np.zeros_like(x), s2
     return (u * s2) @ vt, s2
 
 
@@ -158,8 +155,6 @@ def _shrink_factors(x: np.ndarray, tau: float,
         return _dense_shrink(x, tau)
     j = int(np.searchsorted(w, t * t, side="right"))
     s2 = np.zeros(q)
-    if j == w.size:
-        return np.zeros_like(x), s2
     sig = np.sqrt(w[j:])
     v = v[:, j:]
     f = c * (1.0 - t / sig)

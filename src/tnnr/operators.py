@@ -96,12 +96,13 @@ class LinearMap:
                 if len(header) != 3:
                     raise ValueError("first line must be 'm n p'")
                 m, n, p = (int(t) for t in header)
-                if p < 1:
-                    raise ValueError(f"measurement count p={p} must be >= 1")
-                idx = np.loadtxt(f, dtype=np.intp, ndmin=2)
-            if idx.shape != (p, len(cls.columns)):
-                raise ValueError(f"expected {p} lines of {len(cls.columns)} indices, "
-                                 f"got shape {idx.shape}")
+                # the lines that hold more than a '#' comment: np.loadtxt
+                # would skip the others, but it warns on an empty body
+                lines = [line for line in f if line.split("#", 1)[0].strip()]
+            k = len(cls.columns)
+            idx = np.loadtxt(lines, dtype=np.intp, ndmin=2) if lines else np.empty((0, k))
+            if idx.shape != (p, k):
+                raise ValueError(f"expected {p} lines of {k} indices, got shape {idx.shape}")
             return cls(m, n, *idx.T)
         except (OSError, ValueError) as e:
             raise ValueError(f"bad {cls.file_kind} file {path}: {e}") from e

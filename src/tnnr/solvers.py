@@ -151,16 +151,17 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
 
     `steps(a, b, g, x0, cfg)` is a solver's step generator, started at
     x0 = A*(b) with g = L^T R; it starts its other iterates from copies of
-    x0. (Sharing x0 would be as correct, but the changed heap layout made
-    glibc trim and refault the 300x300 temporaries of admm every iteration.)
-    Once per iteration it yields the new X, its thresholded singular values,
-    the squared constraint gap (0 for a model without one), the penalty in
-    use and a dict of its other iterates. Each shrink is handed the
-    thresholded values of the one before it in the same generator, from
-    which `_shrink_factors` picks its eigensolver. The loop records the trace
-    row, guards against divergence and stops once both the squared relative
-    X-change and the gap, each divided by ||b||^2, fall below inner_tol, or
-    at max_inner_iters. Returns the last X.
+    x0 and drops x0 itself once it has no further use for it, so that x0 is
+    not held for the whole solve. (Sharing x0 would be as correct, but the
+    changed heap layout made glibc trim and refault the 300x300 temporaries
+    of admm every iteration.) Once per iteration it yields the new X, its
+    thresholded singular values, the squared constraint gap (0 for a model
+    without one), the penalty in use and a dict of its other iterates. Each
+    shrink is handed the thresholded values of the one before it in the same
+    generator, from which `_shrink_factors` picks its eigensolver. The loop
+    records the trace row, guards against divergence and stops once both the
+    squared relative X-change and the gap, each divided by ||b||^2, fall
+    below inner_tol, or at max_inner_iters. Returns the last X.
     """
     b = _as_measurement(b, a.p)
     x = a.adjoint(b)
@@ -187,6 +188,7 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
 
 def _admm_steps(a, b, g, x, cfg):
     y, z = x.copy(), x.copy()
+    del x  # x0: its copies are all the loop needs
     s_shrunk = None
     while True:
         x_new, s_shrunk = _shrink_factors(y + z / cfg.beta, 1.0 / cfg.beta, s_shrunk)
@@ -242,18 +244,18 @@ def tnnr_apgl(a: LinearMap, b, pair: TruncationPair,
     return _iterate("tnnr_apgl", _apgl_steps, a, b, pair, cfg or SolverConfig())
 
 
+def _nearest_in_ball(v: np.ndarray, delta: float) -> np.ndarray:
+    """The point of the delta-ball around 0 nearest v (0 for delta = 0)."""
+    nv = float(np.linalg.norm(v))
+    return v * (delta / nv) if nv > delta else v
+
+
 def _admmap_steps(a, b, g, x, cfg):
-    delta = cfg.delta
     y = x.copy()
     z11 = np.zeros(a.shape)
     z22 = np.zeros(a.p)
     beta = cfg.beta
-    if delta > 0:
-        v = a.apply(x) - b
-        nv = float(np.linalg.norm(v))
-        xi = v * (delta / nv) if nv > delta else v
-    else:
-        xi = np.zeros(a.p)
+    xi = _nearest_in_ball(a.apply(x) - b, cfg.delta)
     s_shrunk = None
     while True:
         x_new, s_shrunk = _shrink_factors(y + z11 / beta, 1.0 / beta, s_shrunk)
@@ -265,10 +267,7 @@ def _admmap_steps(a, b, g, x, cfg):
         z11 = z11 - beta * (x_new - y_new)
         ay = a.apply(y_new)
         z22 = z22 - beta * (ay - b - xi)
-        if delta > 0:
-            zeta = ay - b - z22 / beta
-            nz = float(np.linalg.norm(zeta))
-            xi = zeta * (delta / nz) if nz > delta else zeta
+        xi = _nearest_in_ball(ay - b - z22 / beta, cfg.delta)
         gap = max(float(np.linalg.norm(x_new - y_new, "fro")),
                   float(np.linalg.norm(ay - b - xi))) ** 2
         yield x_new, s_shrunk, gap, beta, {"Y": y_new, "z11": z11, "z22": z22, "xi": xi}
@@ -289,12 +288,12 @@ def tnnr_admmap(a: LinearMap, b, pair: TruncationPair,
     equation (I + A*A) Y = RHS is solved in closed form through the
     tight-frame inverse identity. The multiplier block Z has only its (1,1)
     and (2,2) blocks active; the slack xi (measurement space) is updated by
-    ball projection only when cfg.delta > 0 and stays identically zero for
-    the equality model. The penalty grows by RHO0, up to BETA_MAX, whenever
-    the scaled iterate change drops below EPS_ADAPT. Stops once the squared
-    relative X-change and the larger of the two squared relative constraint
-    gaps fall below inner_tol; the returned iterate is projected onto the
-    measurement ball.
+    projection onto the cfg.delta-ball, which keeps it at zero for the
+    equality model (delta = 0). The penalty grows by RHO0, up to BETA_MAX,
+    whenever the scaled iterate change drops below EPS_ADAPT. Stops once the
+    squared relative X-change and the larger of the two squared relative
+    constraint gaps fall below inner_tol; the returned iterate is projected
+    onto the measurement ball.
     """
     cfg = cfg or SolverConfig()
     x, trace = _iterate("tnnr_admmap", _admmap_steps, a, b, pair, cfg)

@@ -62,9 +62,10 @@ def default_kappa(m: int, n: int, s: float, mode: str) -> float:
     raise ValueError(f"mode must be 'real' or 'synthetic', got {mode!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SveConfig:
-    """Rank-estimation settings for the multi-stage outer loop.
+    """Rank-estimation settings for the multi-stage outer loop, checked once
+    and then frozen.
 
     Exactly one kappa source is active: an explicit value, or one of the two
     heuristics scaled by s. max_outer caps the number of estimation stages

@@ -410,6 +410,14 @@ def compare_out(tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize("value, cell", [
+    (None, ""), (np.int64(-3), "-3"), (7, "7"), (np.float64(0.1), "0.1"), (2.5e-20, "2.5e-20"),
+    ("lr", "lr"),
+])
+def test_csv_cell_text(value, cell):
+    assert _fmt(value) == cell
+
+
 class TestCompareCommand:
     def test_metrics_rows_and_methods(self, compare_out):
         rows = read_csv(compare_out / "metrics.csv")

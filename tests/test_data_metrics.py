@@ -191,8 +191,9 @@ class TestImageIO:
         path = tmp_path / "img.pgm"
         save_image([image], path)
         first = path.read_bytes()
+        assert first == b"P5\n7 9\n255\n" + bytes(image.astype(np.uint8).ravel().tolist())
         (loaded,) = load_image(path)
-        assert np.array_equal(loaded, image)
+        assert loaded.dtype == np.float64 and np.array_equal(loaded, image)
         save_image([loaded], path)
         assert path.read_bytes() == first
 

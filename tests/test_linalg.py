@@ -257,6 +257,21 @@ class TestEigensolverRoute:
             _shrink_factors(x, 1.0)
         assert partial.call_count == int(subset and linalg._syevr() is not None)
 
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6)])
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_tau_above_sigma_1_gives_positive_zeros(self, shape, subset):
+        # no eigenpair clears the threshold: the factor products have inner
+        # dimension 0, and numpy returns +0.0 everywhere. (tau / c)^2 stays
+        # below the doubled Gram trace, so dsyevr runs and finds no pair.
+        x = np.random.default_rng(25).standard_normal(shape)
+        prev = np.zeros(6) if subset else None
+        with mock.patch.object(linalg, "_eigenpairs_above",
+                               wraps=linalg._eigenpairs_above) as partial:
+            out, vals = _shrink_factors(x, 1.1 * np.linalg.norm(x, 2), prev)
+        assert partial.call_count == int(subset and linalg._syevr() is not None)
+        assert out.shape == shape and np.all(out == 0.0) and not np.signbit(out).any()
+        assert vals.shape == (6,) and np.all(vals == 0.0) and not np.signbit(vals).any()
+
 
 class TestTruncatedNuclearNorm:
     @pytest.mark.parametrize("r,expected", [(1, 4.0), (0, 9.0), (3, 0.0)])

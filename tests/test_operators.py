@@ -106,6 +106,12 @@ class TestIndexFiles:
         assert loaded.shape == op.shape
         assert np.array_equal(loaded.apply(x), op.apply(x))
 
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "op.txt"
+        path.write_text("3 3 2\n# row col\n0 1\n\n  2 2  # the last\n")
+        mask = SamplingMask.from_file(path)
+        assert mask.rows.tolist() == [0, 2] and mask.cols.tolist() == [1, 2]
+
     @pytest.mark.parametrize("cls, kind, text", [
         (SamplingMask, "mask", "3 3 2\n0 0\n"),
         (SamplingMask, "mask", "3 3\n0 0\n"),
@@ -114,7 +120,9 @@ class TestIndexFiles:
         (SamplingMask, "mask", "8 8 2\n1 1\n1 1\n"),  # a repeated entry
         (SamplingMask, "mask", "8 8 1\n9 0\n"),  # row 9 of 8
         (PartialDct2D, "DCT-keep", "8 8 1\n64\n"),  # keep index 64 of 64
-        (SamplingMask, "mask", "8 8 0\n"),  # p = 0, rejected before the body
+        (SamplingMask, "mask", "8 8 0\n"),  # p = 0
+        (SamplingMask, "mask", "8 8 2\n"),  # a header and no index lines
+        (PartialDct2D, "DCT-keep", "8 8 2\n"),
     ])
     @pytest.mark.filterwarnings("error")  # numpy's empty-input warning included
     def test_bad_file_names_its_kind(self, tmp_path, cls, kind, text):

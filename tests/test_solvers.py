@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -65,13 +66,10 @@ def admmap_iterates(a, b, pair, cfg):
     """`iterates` for tnnr_admmap, with z11, z22 and xi as each iteration
     found them: the previous yield's, or the initial values for the first."""
     x, trace, snaps = iterates("admmap", a, b, pair, cfg)
-    delta = cfg.delta
-    if delta > 0:
-        v = a.apply(a.adjoint(b)) - b
-        nv = float(np.linalg.norm(v))
-        xi = v * (delta / nv) if nv > delta else v
-    else:
-        xi = np.zeros(a.p)
+    # the slack starts at the point of the delta-ball nearest A(A*(b)) - b
+    v = a.apply(a.adjoint(b)) - b
+    nv = float(np.linalg.norm(v))
+    xi = v * (cfg.delta / nv) if nv > cfg.delta else v
     pre = {"z11": np.zeros(a.shape), "z22": np.zeros(a.p), "xi": xi}
     for snap in snaps:
         post = {key: snap[key] for key in pre}
@@ -318,11 +316,14 @@ class TestQOperators:
 
 
 class TestAdmmap:
-    def test_equality_mode_keeps_slack_zero_and_feasible(self):
-        x_star, a, b = instance(10, 10, 2, 0.7, 0.0, 4)
-        x, _, snaps = admmap_iterates(a, b, truncation_pair(x_star, 2), SolverConfig())
-        for snap in snaps:
-            assert np.all(snap["xi"] == 0.0)
+    @pytest.mark.parametrize("kind", ["mask", "dct"])
+    def test_equality_mode_keeps_slack_zero_and_feasible(self, kind):
+        # the equality model is the ball model at radius 0: the slack's one
+        # update, the point of the ball nearest its argument, gives 0
+        x_star, a, b = instance(10, 10, 2, 0.7, 0.0, 4, kind=kind)
+        x, _, snaps = iterates("admmap", a, b, truncation_pair(x_star, 2), SolverConfig())
+        for snap in snaps:  # as yielded
+            assert snap["xi"].shape == (a.p,) and np.all(snap["xi"] == 0.0)
         assert np.linalg.norm(a.apply(x) - b) <= 1e-3 * np.linalg.norm(b)
 
     def test_ball_mode_slack_stays_in_ball(self):
@@ -409,6 +410,20 @@ class TestStepGenerators:
         assert x_last.tobytes() == x.tobytes()
         for arrays, saved in zip(yielded, copies):
             assert all(v.tobytes() == c.tobytes() for v, c in zip(arrays, saved))
+
+    @pytest.mark.parametrize("name", ["admm", "apgl", "admmap"])
+    def test_start_matrix_is_not_held(self, name):
+        # x0 = A*(b) only seeds the iterates: a generator that kept it
+        # would hold an m x n matrix for the whole solve
+        x_star, a, b = instance(30, 30, 2, 0.5, 0.0, 9)
+        pair = truncation_pair(x_star, 2)
+        x0 = a.adjoint(b)
+        alive = weakref.ref(x0)
+        steps = SOLVERS[name][1](a, b, pair.correction(), x0, SolverConfig())
+        del x0
+        for _ in range(5):
+            next(steps)
+        assert alive() is None
 
 
 class TestSubsetEigensolverRoute:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,13 @@ class TestSveConfig:
     def test_rejects_nan(self, kwargs):
         with pytest.raises(ValueError):
             SveConfig(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [("max_outer", -1), ("stability", 0),
+                                             ("kappa_mode", "other")])
+    def test_checked_settings_cannot_change(self, name, value):
+        cfg = SveConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
 
     def test_heuristic_forbids_kappa(self):
         with pytest.raises(ValueError):
