@@ -41,7 +41,8 @@ from .data import SyntheticSpec, load_image, random_operator, save_image, synth_
 from .linalg import _numpy_blas_functions
 from .metrics import psnr, relative_error
 from .operators import OPERATORS
-from .solvers import INNER_SOLVERS, SolverConfig, SolverDivergence, lrisd_stages, solve_with_rank
+from .solvers import (ADMM_BETA, ADMMAP_BETA0, INNER_SOLVERS, SolverConfig, SolverDivergence,
+                      lrisd_stages, solve_with_rank)
 from .solvers import lrisd  # not called here: the benchmark's tracer wraps tnnr.cli.lrisd
 from .sve import SveConfig, estimate_rank
 
@@ -107,8 +108,10 @@ class ExperimentConfig:
     delta: float | None = _setting(None, "ball radius (unset: std * sqrt(p))",
                                    solvers=("admm", "admmap"))
     mu: float = _setting(1.0, "data-fit weight of the penalized model", solvers=("apgl",))
-    beta: float = _setting(1e-3, "ADMM penalty (admmap: its starting value)",
-                           solvers=("admm", "admmap"))
+    beta: float | None = _setting(None, "ADMM penalty (admmap: its starting value) in units "
+                                  "of 1/c, c = ||b||/sqrt(p) (unset: "
+                                  f"{ADMM_BETA:g} for admm, {ADMMAP_BETA0:g} for admmap)",
+                                  solvers=("admm", "admmap"))
     inner_tol: float = _setting(1e-4, "stop tolerance of an inner solve")
     outer_tol: float = _setting(1e-2, "stop tolerance across truncation-pair refits")
     max_inner_iters: int = _setting(5000, "iteration cap of an inner solve")

@@ -12,7 +12,7 @@ solves, one stage at a time, until the estimate stabilizes; `lrisd` runs it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,15 +33,24 @@ __all__ = [
     "lrisd_stages",
     "momentum_step",
     "INNER_SOLVERS",
+    "ADMM_BETA",
+    "ADMMAP_BETA0",
 ]
 
 # Fixed constants of the inner solvers: the ADMM multiplier step scale, and
 # the adaptive-penalty rule beta <- min(BETA_MAX, RHO0 * beta) of tnnr_admmap,
 # which grows beta whenever the scaled iterate change drops below EPS_ADAPT.
+# Default penalties: tnnr_admm's fixed beta and tnnr_admmap's starting beta.
+# beta and EPS_ADAPT are in the units of the normalized data b/c that every
+# inner solve runs on (see _normalized). ADMM_BETA was chosen by a sweep over
+# the benchmark workloads; ADMMAP_BETA0 and EPS_ADAPT are the earlier values
+# in the units of b, 1e-3 each, at the c = 5 of the mask512-admmap workload.
 GAMMA = 1.0
 BETA_MAX = 1e6
 RHO0 = 1.9
-EPS_ADAPT = 1e-3
+EPS_ADAPT = 5e-3
+ADMM_BETA = 0.14
+ADMMAP_BETA0 = 0.005
 
 
 @dataclass(frozen=True)
@@ -50,14 +59,17 @@ class SolverConfig:
     source of each setting the solvers read, checked once and then frozen.
 
     beta is the ADMM penalty (also the initial penalty of the adaptive
-    variant, so at most BETA_MAX); mu weighs the data-fit term of the
-    penalized model (tnnr_apgl); delta is the measurement-ball radius of the
-    constrained models (tnnr_admm, tnnr_admmap; 0 = equality constraint).
+    variant, so at most BETA_MAX) in units of 1/c, c = ||b||/sqrt(p): the
+    solvers run on b/c. None picks the solver's own constant, ADMM_BETA or
+    ADMMAP_BETA0. mu weighs the data-fit term of the penalized model
+    (tnnr_apgl) and delta is the measurement-ball radius of the constrained
+    models (tnnr_admm, tnnr_admmap; 0 = equality constraint), both in the
+    units of b.
     inner_tol bounds the per-iteration squared relative change inside a
     solver, outer_tol the same quantity across truncation-pair refits.
     """
 
-    beta: float = 1e-3
+    beta: float | None = None
     mu: float = 1.0
     delta: float = 0.0
     inner_tol: float = 1e-4
@@ -66,7 +78,7 @@ class SolverConfig:
     max_refit_iters: int = 30
 
     def __post_init__(self):
-        if not 0 < self.beta <= BETA_MAX:
+        if self.beta is not None and not 0 < self.beta <= BETA_MAX:
             raise ValueError(f"beta must lie in (0, {BETA_MAX:g}], got {self.beta}")
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
@@ -81,9 +93,10 @@ class SolverConfig:
 @dataclass
 class StageTrace:
     """Per-stage diagnostics: one row per inner iteration plus per-refit
-    summaries. `objective` holds ||X||_* - Tr(L X R^T) at every iteration;
-    `beta` holds the penalty in use (the data-fit weight mu for the gradient
-    solver, which has no penalty)."""
+    summaries, in the units of b. `objective` holds ||X||_* - Tr(L X R^T) at
+    every iteration; `beta` holds the penalty in use, beta/c for a setting
+    beta (the data-fit weight mu for the gradient solver, which has no
+    penalty)."""
 
     stage: int = 0
     rank: int = 0
@@ -141,29 +154,42 @@ def momentum_step(tau: float) -> float:
 
 def _check_divergence(obj: float, obj_ref: float, trace: StageTrace, name: str) -> None:
     if not np.isfinite(obj) or obj > 1e6 * max(obj_ref, 1.0):
-        raise SolverDivergence(
-            f"{name} diverged at iteration {len(trace.k)}: objective {obj:.3e}", trace)
+        raise SolverDivergence(f"{name} diverged at iteration {len(trace.k)}: "
+                               f"objective {trace.objective[-1]:.3e}", trace)
+
+
+def _normalized(a: LinearMap, b, cfg: SolverConfig) -> tuple[float, np.ndarray, SolverConfig]:
+    """The data scale c = ||b||/sqrt(p) (1 for b = 0), b/c and cfg in the
+    units of b/c: delta/c, and mu*c, which keeps the penalized model's
+    minimizer at X/c. beta is set in these units already."""
+    b = _as_measurement(b, a.p)
+    c = float(np.linalg.norm(b)) / math.sqrt(a.p) or 1.0
+    return c, b / c, replace(cfg, delta=cfg.delta / c, mu=cfg.mu * c)
 
 
 def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
              cfg: SolverConfig) -> tuple[np.ndarray, StageTrace]:
     """The iteration loop the three inner solvers share.
 
-    `steps(a, b, g, x0, cfg)` is a solver's step generator, started at
-    x0 = A*(b) with g = L^T R; it starts its other iterates from copies of
-    x0 and drops x0 itself once it has no further use for it, so that x0 is
-    not held for the whole solve. (Sharing x0 would be as correct, but the
-    changed heap layout made glibc trim and refault the 300x300 temporaries
-    of admm every iteration.) Once per iteration it yields the new X, its
-    thresholded singular values, the squared constraint gap (0 for a model
-    without one), the penalty in use and a dict of its other iterates. Each
-    shrink is handed the thresholded values of the one before it in the same
-    generator, from which `_shrink_factors` picks its eigensolver. The loop
-    records the trace row, guards against divergence and stops once both the
-    squared relative X-change and the gap, each divided by ||b||^2, fall
-    below inner_tol, or at max_inner_iters. Returns the last X.
+    Every solve runs on the normalized data of `_normalized`, so that one
+    penalty and the divergence guard's floor suit data of any scale; it
+    returns c times the last X and records the trace in the units of b.
+    `steps(a, b, g, x0, cfg)` is a solver's step generator, run on b/c and
+    started at x0 = A*(b/c) with g = L^T R; it starts its other iterates
+    from copies of x0 and drops x0 itself once it has no further use for
+    it, so that x0 is not held for the whole solve. (Sharing x0 would be as
+    correct, but the changed heap layout made glibc trim and refault the
+    300x300 temporaries of admm every iteration.) Once per iteration it
+    yields the new X, its thresholded singular values, the squared
+    constraint gap (0 for a model without one), the penalty in use and a
+    dict of its other iterates. Each shrink is handed the thresholded values
+    of the one before it in the same generator, from which `_shrink_factors`
+    picks its eigensolver. The loop records the trace row, guards against
+    divergence and stops once both the squared relative X-change and the
+    gap, each divided by ||b||^2, fall below inner_tol, or at
+    max_inner_iters.
     """
-    b = _as_measurement(b, a.p)
+    c, b, cfg = _normalized(a, b, cfg)
     x = a.adjoint(b)
     g = pair.correction()
     denom = float(b @ b) or 1.0
@@ -173,7 +199,7 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
     for k, (x_new, s_shrunk, gap, beta, _) in iterations:
         obj = float(s_shrunk.sum() - np.vdot(x_new, g))
         resid = float(np.linalg.norm(a.apply(x_new) - b))
-        trace.record(1, k, obj, resid, beta)
+        trace.record(1, k, c * obj, c * resid, beta / c)
         if obj_ref is None:
             obj_ref = obj
         _check_divergence(obj, obj_ref, trace, name)
@@ -183,19 +209,20 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
             trace.converged = True
             break
     trace.inner_iters.append(trace.total_inner_iters)
-    return x, trace
+    return c * x, trace
 
 
 def _admm_steps(a, b, g, x, cfg):
+    beta = cfg.beta or ADMM_BETA
     y, z = x.copy(), x.copy()
     del x  # x0: its copies are all the loop needs
     s_shrunk = None
     while True:
-        x_new, s_shrunk = _shrink_factors(y + z / cfg.beta, 1.0 / cfg.beta, s_shrunk)
-        y = project_ball(a, x_new + (g - z) / cfg.beta, b, cfg.delta)
-        z = z - GAMMA * cfg.beta * (x_new - y)
+        x_new, s_shrunk = _shrink_factors(y + z / beta, 1.0 / beta, s_shrunk)
+        y = project_ball(a, x_new + (g - z) / beta, b, cfg.delta)
+        z = z - GAMMA * beta * (x_new - y)
         gap = float(np.linalg.norm(x_new - y, "fro") ** 2)
-        yield x_new, s_shrunk, gap, cfg.beta, {"Y": y, "Z": z}
+        yield x_new, s_shrunk, gap, beta, {"Y": y, "Z": z}
 
 
 def tnnr_admm(a: LinearMap, b, pair: TruncationPair,
@@ -204,13 +231,14 @@ def tnnr_admm(a: LinearMap, b, pair: TruncationPair,
     min ||X||_* - Tr(L X R^T) s.t. ||A(X) - b|| <= cfg.delta.
 
     Iterates X <- shrink(Y + Z/beta, 1/beta),
-    Y <- P_ball(X + (L^T R - Z)/beta), Z <- Z - GAMMA beta (X - Y), starting
-    all three at the matrix form of b. Stops once both the squared relative
-    X-change and the squared relative X-Y gap fall below inner_tol; the gap
-    condition keeps the change test from firing inside the shrinkage dead
-    zone before the dual variable has grown to data scale. The returned
-    iterate is projected onto the measurement ball so the feasibility
-    contract holds even at the iteration cap.
+    Y <- P_ball(X + (L^T R - Z)/beta), Z <- Z - GAMMA beta (X - Y) on the
+    normalized data b/c, starting all three at the matrix form of b/c, with
+    beta = cfg.beta or ADMM_BETA in units of 1/c. Stops once both the
+    squared relative X-change and the squared relative X-Y gap fall below
+    inner_tol; the gap condition keeps the change test from firing inside
+    the shrinkage dead zone before the dual variable has grown to data
+    scale. The returned iterate is projected onto the measurement ball so
+    the feasibility contract holds even at the iteration cap.
     """
     cfg = cfg or SolverConfig()
     x, trace = _iterate("tnnr_admm", _admm_steps, a, b, pair, cfg)
@@ -238,8 +266,9 @@ def tnnr_apgl(a: LinearMap, b, pair: TruncationPair,
     The smooth part F(Y) = -Tr(L Y R^T) + (mu/2)||A(Y) - b||^2 has gradient
     -L^T R + mu A*(A(Y) - b) and Lipschitz constant mu for a tight frame, so
     the proximal step size is fixed at 1/mu while the momentum parameter
-    follows tau <- (1 + sqrt(1 + 4 tau^2)) / 2 from tau = 1. Stops once the
-    squared relative X-change falls below inner_tol.
+    follows tau <- (1 + sqrt(1 + 4 tau^2)) / 2 from tau = 1. It runs on b/c
+    with the weight mu*c, the same model. Stops once the squared relative
+    X-change falls below inner_tol.
     """
     return _iterate("tnnr_apgl", _apgl_steps, a, b, pair, cfg or SolverConfig())
 
@@ -254,8 +283,9 @@ def _admmap_steps(a, b, g, x, cfg):
     y = x.copy()
     z11 = np.zeros(a.shape)
     z22 = np.zeros(a.p)
-    beta = cfg.beta
-    xi = _nearest_in_ball(a.apply(x) - b, cfg.delta)
+    beta = cfg.beta or ADMMAP_BETA0
+    # the slack starts at 0, the ball point nearest A(A*(b)) - b = 0
+    xi = np.zeros(a.p)
     s_shrunk = None
     while True:
         x_new, s_shrunk = _shrink_factors(y + z11 / beta, 1.0 / beta, s_shrunk)
@@ -289,11 +319,12 @@ def tnnr_admmap(a: LinearMap, b, pair: TruncationPair,
     tight-frame inverse identity. The multiplier block Z has only its (1,1)
     and (2,2) blocks active; the slack xi (measurement space) is updated by
     projection onto the cfg.delta-ball, which keeps it at zero for the
-    equality model (delta = 0). The penalty grows by RHO0, up to BETA_MAX,
-    whenever the scaled iterate change drops below EPS_ADAPT. Stops once the
-    squared relative X-change and the larger of the two squared relative
-    constraint gaps fall below inner_tol; the returned iterate is projected
-    onto the measurement ball.
+    equality model (delta = 0). The penalty starts at cfg.beta or
+    ADMMAP_BETA0, in units of 1/c as for tnnr_admm, and grows by RHO0, up to
+    BETA_MAX, whenever the scaled iterate change drops below EPS_ADAPT.
+    Stops once the squared relative X-change and the larger of the two
+    squared relative constraint gaps fall below inner_tol; the returned
+    iterate is projected onto the measurement ball.
     """
     cfg = cfg or SolverConfig()
     x, trace = _iterate("tnnr_admmap", _admmap_steps, a, b, pair, cfg)

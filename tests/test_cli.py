@@ -392,7 +392,7 @@ class TestSolverSettingsOutsideTheirUse:
         assert f"config field '{name}': the {solver} solver does not read it" in results[0][1]
         assert not out.exists()
 
-    @pytest.mark.parametrize("solver, given", [("apgl", ["--beta", "0.001"]),
+    @pytest.mark.parametrize("solver, given", [("admmap", ["--mu", "1"]),
                                                ("admm", ["--mu", "1"])])
     def test_default_value_of_an_unread_setting_is_accepted(self, tmp_path, solver, given):
         out = tmp_path / "o"

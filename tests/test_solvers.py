@@ -12,6 +12,7 @@ from tnnr.linalg import TruncationPair, nuclear_norm, shrink, truncated_nuclear_
 from tnnr.metrics import relative_error
 from tnnr.operators import SamplingMask, project_ball
 from tnnr.solvers import (
+    ADMMAP_BETA0,
     BETA_MAX,
     EPS_ADAPT,
     GAMMA,
@@ -21,6 +22,7 @@ from tnnr.solvers import (
     _admm_steps,
     _admmap_steps,
     _apgl_steps,
+    _normalized,
     lrisd,
     lrisd_stages,
     momentum_step,
@@ -49,7 +51,9 @@ def instance(m, n, r, sr, std, seed, kind="mask"):
 
 
 def steps_of(name, a, b, pair, cfg):
-    """A solver's step generator, started as the solver starts it."""
+    """A solver's step generator, started as the solver starts it: on the
+    normalized data b/c, with delta and mu in its units."""
+    _, b, cfg = _normalized(a, b, cfg)
     return SOLVERS[name][1](a, b, pair.correction(), a.adjoint(b), cfg)
 
 
@@ -66,11 +70,7 @@ def admmap_iterates(a, b, pair, cfg):
     """`iterates` for tnnr_admmap, with z11, z22 and xi as each iteration
     found them: the previous yield's, or the initial values for the first."""
     x, trace, snaps = iterates("admmap", a, b, pair, cfg)
-    # the slack starts at the point of the delta-ball nearest A(A*(b)) - b
-    v = a.apply(a.adjoint(b)) - b
-    nv = float(np.linalg.norm(v))
-    xi = v * (cfg.delta / nv) if nv > cfg.delta else v
-    pre = {"z11": np.zeros(a.shape), "z22": np.zeros(a.p), "xi": xi}
+    pre = {"z11": np.zeros(a.shape), "z22": np.zeros(a.p), "xi": np.zeros(a.p)}
     for snap in snaps:
         post = {key: snap[key] for key in pre}
         snap.update(pre)
@@ -159,9 +159,10 @@ class TestAdmm:
         x_star, a, b = instance(8, 8, 2, 0.7, 0.1, 3)
         cfg = SolverConfig(max_inner_iters=40)
         _, _, snaps = iterates("admm", a, b, truncation_pair(x_star, 2), cfg)
-        z_prev = a.adjoint(b)  # initial multiplier is the data matrix
+        _, b, _ = _normalized(a, b, cfg)
+        z_prev = a.adjoint(b)  # initial multiplier is the normalized data matrix
         for snap in snaps:
-            step = GAMMA * cfg.beta * (snap["X"] - snap["Y"])
+            step = GAMMA * snap["beta"] * (snap["X"] - snap["Y"])
             assert np.array_equal(z_prev - step, snap["Z"])
             z_prev = snap["Z"]
 
@@ -169,7 +170,7 @@ class TestAdmm:
         x_star, a, b = instance(15, 15, 3, 0.6, 0.0, 4)
         _, _, snaps = iterates("admm", a, b, truncation_pair(x_star, 3), SolverConfig())
         last = snaps[-1]
-        data_norm = np.linalg.norm(b)
+        data_norm = np.linalg.norm(_normalized(a, b, SolverConfig())[1])  # the iterates' units
         assert np.linalg.norm(last["X"] - last["Y"], "fro") <= 1e-2 * data_norm
 
     def test_negative_delta_rejected(self):
@@ -265,11 +266,12 @@ class TestApgl:
         # a proximal step at size 1/L guarantees T(X_{k+1}) <= T(Y_k)
         x_star, a, b = instance(10, 10, 2, 0.6, 0.3, 8)
         pair = truncation_pair(x_star, 2)
-        mu = 1.5
-        _, _, snaps = iterates("apgl", a, b, pair, SolverConfig(mu=mu, max_inner_iters=60))
+        cfg = SolverConfig(mu=1.5, max_inner_iters=60)
+        _, _, snaps = iterates("apgl", a, b, pair, cfg)
+        _, b, cfg = _normalized(a, b, cfg)  # the iterates' data and model
 
         def total(x):
-            return objective(x, pair) + 0.5 * mu * np.linalg.norm(a.apply(x) - b) ** 2
+            return objective(x, pair) + 0.5 * cfg.mu * np.linalg.norm(a.apply(x) - b) ** 2
 
         y_prev = a.adjoint(b)
         for snap in snaps:
@@ -330,14 +332,16 @@ class TestAdmmap:
         x_star, a, b = instance(10, 10, 2, 0.7, 0.3, 5, kind="dct")
         delta = 0.3 * np.sqrt(a.p)
         x, _, snaps = admmap_iterates(a, b, truncation_pair(x_star, 2), SolverConfig(delta=delta))
+        scaled = _normalized(a, b, SolverConfig(delta=delta))[2].delta  # xi's units
         for snap in snaps[1:]:
-            assert np.linalg.norm(snap["xi"]) <= delta * (1 + 1e-12)
+            assert np.linalg.norm(snap["xi"]) <= scaled * (1 + 1e-12)
         assert np.linalg.norm(a.apply(x) - b) <= delta * (1 + 1e-3)
 
     def test_agrees_with_admm(self):
         x_star, a, b = instance(20, 20, 2, 0.7, 0.5, 6)
         pair = truncation_pair(x_star, 2)
-        cfg = SolverConfig(inner_tol=1e-6, max_inner_iters=20000)
+        # both start from admmap's penalty, which only admmap adapts
+        cfg = SolverConfig(beta=ADMMAP_BETA0, inner_tol=1e-6, max_inner_iters=20000)
         x1, t1 = tnnr_admm(a, b, pair, cfg)
         x2, t2 = tnnr_admmap(a, b, pair, cfg)
         o1, o2 = objective(x1, pair), objective(x2, pair)
@@ -364,6 +368,7 @@ class TestAdmmap:
             g = pair.correction()
             delta = delta_scale * 0.2 * np.sqrt(a.p)
             _, _, snaps = admmap_iterates(a, b, pair, SolverConfig(delta=delta, max_inner_iters=60))
+            b = _normalized(a, b, SolverConfig())[1]  # the iterates' data
             for snap in snaps:
                 beta = snap["beta"]
                 y = snap["Y"]
@@ -378,6 +383,7 @@ class TestAdmmap:
         delta = 0.2 * np.sqrt(a.p)
         cfg = SolverConfig(delta=delta, max_inner_iters=80)
         _, _, snaps = admmap_iterates(a, b, truncation_pair(x_star, 2), cfg)
+        b = _normalized(a, b, cfg)[1]  # the iterates' data
         x_prev, y_prev = a.adjoint(b), a.adjoint(b)
         for i, snap in enumerate(snaps[:-1]):
             step = max(np.linalg.norm(snap["X"] - x_prev, "fro"),
@@ -404,7 +410,7 @@ class TestStepGenerators:
             arrays = [v for v in (*item[:2], *item[4].values()) if isinstance(v, np.ndarray)]
             yielded.append(arrays)
             copies.append([v.copy() for v in arrays])
-        x_last = yielded[-1][0]
+        x_last = _normalized(a, b, cfg)[0] * yielded[-1][0]
         if name != "apgl":
             x_last = project_ball(a, x_last, b, delta)
         assert x_last.tobytes() == x.tobytes()
@@ -566,3 +572,85 @@ class TestLrisd:
         assert all(len(row) == 6 for row in rows)
         stages = {row[0] for row in rows}
         assert 0 in stages
+
+
+class TestScaleFree:
+    """Every inner solve runs on b/c, c = ||b||/sqrt(p): the penalty and the
+    divergence guard see the same data whatever the units of b."""
+
+    SCALES = (1e-2, 1.0, 255.0, 1e4)
+
+    @pytest.mark.parametrize("inner", ["admm", "admmap", "apgl"])
+    @pytest.mark.parametrize("kind", ["mask", "dct"])
+    def test_scaled_data_gives_scaled_recovery(self, inner, kind):
+        # c b with c delta and c kappa (mu/c: mu weighs a squared residual
+        # against a norm) is the same problem in other units
+        _, a, b = instance(20, 20, 2, 0.7, 0.1, 18, kind=kind)
+        delta, mu, kappa = 0.1 * np.sqrt(a.p), 2.0, SveConfig().resolve_kappa(20, 20)
+
+        def run(c):
+            sve_cfg = SveConfig(kappa_mode="explicit", kappa=c * kappa)
+            return lrisd(a, c * b, inner, sve_cfg, SolverConfig(delta=c * delta, mu=mu / c))
+
+        x_ref, ref = run(1.0)
+        assert ref[-1].rank == 2
+        for c in self.SCALES:
+            x, traces = run(c)
+            assert np.linalg.norm(x - c * x_ref) <= 1e-9 * np.linalg.norm(c * x_ref)
+            assert [t.rank for t in traces] == [t.rank for t in ref]
+            assert [t.inner_iters for t in traces] == [t.inner_iters for t in ref]
+
+    def test_divergence_guard_fires_at_every_scale(self):
+        # the operator of TestAdmm.test_divergence_guard (A A* = 9 I) blows
+        # up; the guard's floor, 1e6 times max(first objective, 1), is taken
+        # on b/c, so at c = 1e-2 it fires where it fires at c = 1
+        class ScaledMask(SamplingMask):
+            def apply(self, x):
+                return 3.0 * super().apply(x)
+
+            def adjoint(self, y):
+                return 3.0 * super().adjoint(y)
+
+        broken = ScaledMask(4, 4, *np.divmod(np.arange(12), 4))
+        b = np.random.default_rng(5).standard_normal(12)
+        fired = []
+        for c in self.SCALES:
+            with pytest.raises(SolverDivergence) as info:
+                tnnr_admm(broken, c * b, TruncationPair.empty(4, 4), SolverConfig())
+            fired.append(info.value.trace.total_inner_iters)
+        assert fired == [fired[1]] * len(self.SCALES)
+
+
+class TestDefaultStop:
+    def test_last_refit_is_near_its_optimum(self):
+        # the default stop on the last refit of lrisd, against a tight solve
+        # of the same convex problem (same truncation pair)
+        spec = SyntheticSpec(60, 60, 3, 0.5, 0.5, 12345)
+        _, a, b = synth_lowrank(spec, kind="dct")
+        cfg = SolverConfig(delta=spec.std * np.sqrt(a.p))
+        _, traces = lrisd(a, b, "admm", SveConfig(), cfg)
+        last = traces[-1]
+        assert last.rank == 3
+        refits = len(last.inner_iters)
+        x_prev = (a.adjoint(b) if refits == 1 else solve_with_rank(
+            a, b, last.rank, "admm", dataclasses.replace(cfg, max_refit_iters=refits - 1))[0])
+        pair = truncation_pair(x_prev, last.rank)
+        x_hat, _ = tnnr_admm(a, b, pair, cfg)
+        x_tight, tight = tnnr_admm(a, b, pair, dataclasses.replace(
+            cfg, inner_tol=1e-11, max_inner_iters=100000))
+        assert tight.converged
+        gap = objective(x_hat, pair) - objective(x_tight, pair)
+        assert abs(gap) <= 1e-3 * nuclear_norm(x_hat)
+
+    def test_compare100_iteration_count(self):
+        # the two trials of the benchmark's compare100-admm workload at
+        # seed 7, as `tnnr compare` runs them: 4198 inner iterations with
+        # the penalty in the units of b (beta = 1e-3)
+        total = 0
+        for seed in (7, 8):
+            spec = SyntheticSpec(100, 100, 5, 0.5, 0.5, seed)
+            _, a, b = synth_lowrank(spec, kind="dct")
+            _, traces = lrisd(a, b, "admm", SveConfig(),
+                              SolverConfig(delta=spec.std * np.sqrt(spec.p)))
+            total += sum(t.total_inner_iters for t in traces)
+        assert total < 300
