@@ -383,7 +383,7 @@ def _solve_channel(plan: _Plan, trial: _Trial, channel: int) -> dict:
     keep("lrisd", start, x, traces, profile)
     if cfg.adjust is not None:
         start = time.perf_counter()
-        x, traces = _adjust_sweep(a, b, solved["lrisd"][1], cfg, solver_cfg,
+        x, traces = _adjust_sweep(a, b, x, trace.rank, solved["lrisd"][1], cfg, solver_cfg,
                                   score=lambda xc: trial.score(trial.finish(xc), truth))
         keep("lrisd-adjust", start, x, traces)
     return solved
@@ -418,16 +418,22 @@ def _trial_rows(plan: _Plan, trial: _Trial, solved: list[dict]):
     return metrics, trace_rows, sve_rows, timings
 
 
-def _adjust_sweep(a, b, r_center, cfg, solver_cfg, score):
-    """Re-solve with every rank in a window around the estimate and keep the
-    best-scoring recovery (higher score wins; ties go to the smaller rank)."""
+def _adjust_sweep(a, b, x_hat, r_hat, r_center, cfg, solver_cfg, score):
+    """Solve at every rank in a window around the estimate, each solve
+    started from lrisd's recovery x_hat, and keep the best-scoring recovery
+    (higher score wins; ties go to the smaller rank). x_hat, the last stage's
+    solve at its rank r_hat, is that rank's candidate: it is not solved
+    again, and the returned traces hold the solves the sweep ran."""
     w = cfg.adjust
     q = min(a.shape)
     best = None
     merged = []
     for r in range(max(0, r_center - w), min(q, r_center + w) + 1):
-        x, trace = solve_with_rank(a, b, r, cfg.solver, solver_cfg)
-        merged.append(trace)
+        if r == r_hat:
+            x = x_hat
+        else:
+            x, trace = solve_with_rank(a, b, r, cfg.solver, solver_cfg, x_hat)
+            merged.append(trace)
         s = score(x)
         if best is None or s > best[0]:
             best = (s, x)
@@ -467,13 +473,12 @@ def _image_trial(plan: _Plan, image, a, seed: int, out: Path) -> _Trial:
     tag = f"_seed{seed}" if cfg.trials > 1 else ""
     ext = "pgm" if len(image) == 1 else "ppm"
     a.to_file(out / f"operator{tag}.txt")
-    if cfg.operator == "mask":
-        observed = a.observed()
+    observed = a.observed()  # None for transform-domain sampling: no pixel is untouched
+    eval_mask = None
+    if observed is not None:
         save_image([c * observed for c in image], out / f"masked{tag}.{ext}")
         missing = ~observed
         eval_mask = missing if missing.any() else None
-    else:
-        eval_mask = None  # transform-domain sampling leaves no pixel untouched
 
     def write(row, xs):
         row.update(asdict(psnr(xs, image, eval_mask)))  # its fields are metrics columns
@@ -634,8 +639,21 @@ def _config_from_args(args) -> ExperimentConfig:
     if cfg.command not in ("", args.command):
         raise ValueError(
             f"config file command '{cfg.command}' conflicts with subcommand '{args.command}'")
-    given = {f.name: v for f in _SETTINGS if (v := getattr(args, f.name)) is not None}
+    given = {f.name: _flag_value(f, v) for f in _SETTINGS
+             if (v := getattr(args, f.name)) is not None}
     return replace(cfg, command=args.command, **given)
+
+
+def _flag_value(f, value):
+    """A parsed flag's value as a config file gives it. Python 3.11's argparse
+    drops the value '--' of `--name=--` and leaves an empty list, which no
+    setting can hold: read it back as the string '--'."""
+    if value != []:
+        return value
+    try:
+        return _coerce(_kind(f.type), "--")
+    except ValueError as e:
+        raise ValueError(f"config field '{f.name}': {e}") from None
 
 
 def main(argv=None) -> int:

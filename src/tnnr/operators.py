@@ -133,6 +133,15 @@ class LinearMap:
         c[self.slots] = y
         return self.inverse(c.reshape(self.shape))
 
+    def observed(self) -> np.ndarray | None:
+        """Boolean m x n array, True at the entries A reads; None when T is not
+        the identity, since a transform's slots observe no entry by itself."""
+        if self.transform is not LinearMap.transform:
+            return None
+        obs = np.zeros(self.shape[0] * self.shape[1], dtype=bool)
+        obs[self.slots] = True
+        return obs.reshape(self.shape)
+
 
 class SamplingMask(LinearMap):
     """Observation of p distinct entries (rows[k], cols[k]), in a fixed
@@ -163,12 +172,6 @@ class SamplingMask(LinearMap):
     @property
     def cols(self) -> np.ndarray:
         return self.slots % self.shape[1]
-
-    def observed(self) -> np.ndarray:
-        """Boolean m x n array, True at observed entries."""
-        obs = np.zeros(self.shape[0] * self.shape[1], dtype=bool)
-        obs[self.slots] = True
-        return obs.reshape(self.shape)
 
 
 class PartialDct2D(LinearMap):

@@ -9,6 +9,8 @@ steps run by one shared loop, `_iterate`, which keeps the trace and applies
 the divergence guard, the stop test and the iteration cap. The generator
 `lrisd_stages` alternates rank estimation on the current recovery with inner
 solves, one stage at a time, until the estimate stabilizes; `lrisd` runs it.
+Each stage starts from the last stage's recovery, and each refit's inner
+solve from the last refit's iterates.
 """
 
 import math
@@ -168,35 +170,47 @@ def _normalized(a: LinearMap, b, cfg: SolverConfig) -> tuple[float, np.ndarray, 
 
 
 def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
-             cfg: SolverConfig) -> tuple[np.ndarray, StageTrace]:
+             cfg: SolverConfig, carry: dict | None = None) -> tuple[np.ndarray, StageTrace]:
     """The iteration loop the three inner solvers share.
 
     Every solve runs on the normalized data of `_normalized`, so that one
     penalty and the divergence guard's floor suit data of any scale; it
     returns c times the last X and records the trace in the units of b.
-    `steps(a, b, g, x0, cfg)` is a solver's step generator, run on b/c and
-    started at x0 = A*(b/c) with g = L^T R; it starts its other iterates
-    from copies of x0 and drops x0 itself once it has no further use for
-    it, so that x0 is not held for the whole solve. (Sharing x0 would be as
-    correct, but the changed heap layout made glibc trim and refault the
-    300x300 temporaries of admm every iteration.) Once per iteration it
-    yields the new X, its thresholded singular values, the squared
-    constraint gap (0 for a model without one), the penalty in use and a
-    dict of its other iterates. Each shrink is handed the thresholded values
-    of the one before it in the same generator, from which `_shrink_factors`
-    picks its eigensolver. The loop records the trace row, guards against
-    divergence and stops once both the squared relative X-change and the
-    gap, each divided by ||b||^2, fall below inner_tol, or at
+    `steps(a, b, g, x0, cfg, start)` is a solver's step generator, run on b/c
+    with g = L^T R. With start None it starts at x0 = A*(b/c): it starts its
+    other iterates from copies of x0 and drops x0 itself once it has no
+    further use for it, so that x0 is not held for the whole solve. (Sharing
+    x0 would be as correct, but the changed heap layout made glibc trim and
+    refault the 300x300 temporaries of admm every iteration.) Once per
+    iteration it yields the new X, its thresholded singular values, the
+    squared constraint gap (0 for a model without one), the penalty in use
+    and a dict of its other iterates. Each shrink is handed the thresholded
+    values of the one before it in the same generator, from which
+    `_shrink_factors` picks its eigensolver. The loop records the trace row,
+    guards against divergence and stops once both the squared relative
+    X-change and the gap, each divided by ||b||^2, fall below inner_tol, or at
     max_inner_iters.
+
+    `carry`, when given, hands one solve's end to the next solve on the same
+    b (the refits of `solve_with_rank`). A solve leaves its last X and the
+    dict of its last iterates there, in the units of b/c, which do not change
+    between solves on one b. A solve given a nonempty carry starts from them
+    instead of A*(b/c): x0 is the last X, from which the first X-change is
+    taken, and `start` holds the iterates. The carry is emptied as the solve
+    starts, so that the old iterates die as the new ones replace them.
     """
     c, b, cfg = _normalized(a, b, cfg)
-    x = a.adjoint(b)
+    start = dict(carry) if carry else None
+    x = start.pop("X") if start else a.adjoint(b)
+    if carry:
+        carry.clear()
     g = pair.correction()
     denom = float(b @ b) or 1.0
     trace = StageTrace(rank=pair.r)
     obj_ref = None
-    iterations = zip(range(1, cfg.max_inner_iters + 1), steps(a, b, g, x, cfg))
-    for k, (x_new, s_shrunk, gap, beta, _) in iterations:
+    iterations = zip(range(1, cfg.max_inner_iters + 1), steps(a, b, g, x, cfg, start))
+    del start
+    for k, (x_new, s_shrunk, gap, beta, state) in iterations:
         obj = float(s_shrunk.sum() - np.vdot(x_new, g))
         resid = float(np.linalg.norm(a.apply(x_new) - b))
         trace.record(1, k, c * obj, c * resid, beta / c)
@@ -209,13 +223,15 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
             trace.converged = True
             break
     trace.inner_iters.append(trace.total_inner_iters)
+    if carry is not None:
+        carry.update(state, X=x)
     return c * x, trace
 
 
-def _admm_steps(a, b, g, x, cfg):
+def _admm_steps(a, b, g, x, cfg, start=None):
     beta = cfg.beta or ADMM_BETA
-    y, z = x.copy(), x.copy()
-    del x  # x0: its copies are all the loop needs
+    y, z = (start["Y"], start["Z"]) if start else (x.copy(), x.copy())
+    del x, start  # y and z are all the loop needs
     s_shrunk = None
     while True:
         x_new, s_shrunk = _shrink_factors(y + z / beta, 1.0 / beta, s_shrunk)
@@ -225,29 +241,31 @@ def _admm_steps(a, b, g, x, cfg):
         yield x_new, s_shrunk, gap, beta, {"Y": y, "Z": z}
 
 
-def tnnr_admm(a: LinearMap, b, pair: TruncationPair,
-              cfg: SolverConfig | None = None) -> tuple[np.ndarray, StageTrace]:
+def tnnr_admm(a: LinearMap, b, pair: TruncationPair, cfg: SolverConfig | None = None,
+              carry: dict | None = None) -> tuple[np.ndarray, StageTrace]:
     """ADMM for the equality- (cfg.delta = 0) or ball-constrained model
     min ||X||_* - Tr(L X R^T) s.t. ||A(X) - b|| <= cfg.delta.
 
     Iterates X <- shrink(Y + Z/beta, 1/beta),
     Y <- P_ball(X + (L^T R - Z)/beta), Z <- Z - GAMMA beta (X - Y) on the
-    normalized data b/c, starting all three at the matrix form of b/c, with
-    beta = cfg.beta or ADMM_BETA in units of 1/c. Stops once both the
-    squared relative X-change and the squared relative X-Y gap fall below
-    inner_tol; the gap condition keeps the change test from firing inside
-    the shrinkage dead zone before the dual variable has grown to data
-    scale. The returned iterate is projected onto the measurement ball so
-    the feasibility contract holds even at the iteration cap.
+    normalized data b/c, with beta = cfg.beta or ADMM_BETA in units of 1/c.
+    It starts all three at the matrix form of b/c, or, given a nonempty
+    `carry` (see `_iterate`), where the solve that filled it ended. Stops
+    once both the squared relative X-change and the squared relative X-Y gap
+    fall below inner_tol; the gap condition keeps the change test from
+    firing inside the shrinkage dead zone before the dual variable has grown
+    to data scale. The returned iterate is projected onto the measurement
+    ball so the feasibility contract holds even at the iteration cap.
     """
     cfg = cfg or SolverConfig()
-    x, trace = _iterate("tnnr_admm", _admm_steps, a, b, pair, cfg)
+    x, trace = _iterate("tnnr_admm", _admm_steps, a, b, pair, cfg, carry)
     return project_ball(a, x, b, cfg.delta), trace
 
 
-def _apgl_steps(a, b, g, x, cfg):
+def _apgl_steps(a, b, g, x, cfg, start=None):
     step = 1.0 / cfg.mu
-    y, tau = x.copy(), 1.0
+    y, tau = (start["Y"], start["tau"]) if start else (x.copy(), 1.0)
+    del start
     s_shrunk = None
     while True:
         grad = -g + cfg.mu * a.adjoint(a.apply(y) - b)
@@ -258,8 +276,8 @@ def _apgl_steps(a, b, g, x, cfg):
         x, tau = x_new, tau_new
 
 
-def tnnr_apgl(a: LinearMap, b, pair: TruncationPair,
-              cfg: SolverConfig | None = None) -> tuple[np.ndarray, StageTrace]:
+def tnnr_apgl(a: LinearMap, b, pair: TruncationPair, cfg: SolverConfig | None = None,
+              carry: dict | None = None) -> tuple[np.ndarray, StageTrace]:
     """Accelerated proximal gradient for the penalized model
     min ||X||_* - Tr(L X R^T) + (mu/2) ||A(X) - b||^2, with mu = cfg.mu.
 
@@ -267,10 +285,11 @@ def tnnr_apgl(a: LinearMap, b, pair: TruncationPair,
     -L^T R + mu A*(A(Y) - b) and Lipschitz constant mu for a tight frame, so
     the proximal step size is fixed at 1/mu while the momentum parameter
     follows tau <- (1 + sqrt(1 + 4 tau^2)) / 2 from tau = 1. It runs on b/c
-    with the weight mu*c, the same model. Stops once the squared relative
-    X-change falls below inner_tol.
+    with the weight mu*c, the same model. Given a nonempty `carry` (see
+    `_iterate`) it goes on from the last solve's X, Y and tau. Stops once the
+    squared relative X-change falls below inner_tol.
     """
-    return _iterate("tnnr_apgl", _apgl_steps, a, b, pair, cfg or SolverConfig())
+    return _iterate("tnnr_apgl", _apgl_steps, a, b, pair, cfg or SolverConfig(), carry)
 
 
 def _nearest_in_ball(v: np.ndarray, delta: float) -> np.ndarray:
@@ -279,13 +298,16 @@ def _nearest_in_ball(v: np.ndarray, delta: float) -> np.ndarray:
     return v * (delta / nv) if nv > delta else v
 
 
-def _admmap_steps(a, b, g, x, cfg):
-    y = x.copy()
-    z11 = np.zeros(a.shape)
-    z22 = np.zeros(a.p)
+def _admmap_steps(a, b, g, x, cfg, start=None):
+    if start:
+        y, z11, z22, xi = start["Y"], start["z11"], start["z22"], start["xi"]
+    else:
+        # the slack starts at 0, the ball point nearest A(A*(b)) - b = 0
+        y, z11, z22, xi = x.copy(), np.zeros(a.shape), np.zeros(a.p), np.zeros(a.p)
+    del start
+    # a warm start, too, begins at the starting penalty: one that kept the
+    # last solve's grown beta would stop on a vanishing X-change at once
     beta = cfg.beta or ADMMAP_BETA0
-    # the slack starts at 0, the ball point nearest A(A*(b)) - b = 0
-    xi = np.zeros(a.p)
     s_shrunk = None
     while True:
         x_new, s_shrunk = _shrink_factors(y + z11 / beta, 1.0 / beta, s_shrunk)
@@ -309,8 +331,8 @@ def _admmap_steps(a, b, g, x, cfg):
         beta = min(BETA_MAX, rho * beta)
 
 
-def tnnr_admmap(a: LinearMap, b, pair: TruncationPair,
-                cfg: SolverConfig | None = None) -> tuple[np.ndarray, StageTrace]:
+def tnnr_admmap(a: LinearMap, b, pair: TruncationPair, cfg: SolverConfig | None = None,
+                carry: dict | None = None) -> tuple[np.ndarray, StageTrace]:
     """Block-matrix ADMM with adaptive penalty for the constrained models.
 
     The two constraints X = Y and A(Y) in the delta-ball around b are folded
@@ -322,36 +344,44 @@ def tnnr_admmap(a: LinearMap, b, pair: TruncationPair,
     equality model (delta = 0). The penalty starts at cfg.beta or
     ADMMAP_BETA0, in units of 1/c as for tnnr_admm, and grows by RHO0, up to
     BETA_MAX, whenever the scaled iterate change drops below EPS_ADAPT.
+    Given a nonempty `carry` (see `_iterate`), the solve starts from the last
+    solve's X, Y, multipliers and slack, but from the starting penalty.
     Stops once the squared relative X-change and the larger of the two
     squared relative constraint gaps fall below inner_tol; the returned
     iterate is projected onto the measurement ball.
     """
     cfg = cfg or SolverConfig()
-    x, trace = _iterate("tnnr_admmap", _admmap_steps, a, b, pair, cfg)
+    x, trace = _iterate("tnnr_admmap", _admmap_steps, a, b, pair, cfg, carry)
     return project_ball(a, x, b, cfg.delta), trace
 
 
 INNER_SOLVERS = ("admm", "apgl", "admmap")
 
 
-def _run_inner(name: str, a: LinearMap, b, pair: TruncationPair, cfg: SolverConfig):
+def _run_inner(name: str, a: LinearMap, b, pair: TruncationPair, cfg: SolverConfig,
+               carry: dict | None = None):
     solvers = {"admm": tnnr_admm, "apgl": tnnr_apgl, "admmap": tnnr_admmap}
     if name not in solvers:
         raise ValueError(f"unknown inner solver {name!r}, expected one of {INNER_SOLVERS}")
-    return solvers[name](a, b, pair, cfg)
+    return solvers[name](a, b, pair, cfg, carry)
 
 
 def solve_with_rank(a: LinearMap, b, r: int, inner: str = "admm",
-                    cfg: SolverConfig | None = None) -> tuple[np.ndarray, StageTrace]:
+                    cfg: SolverConfig | None = None,
+                    x0: np.ndarray | None = None) -> tuple[np.ndarray, StageTrace]:
     """Solve the truncation-rank-r model for a fixed r.
 
-    Starting from the matrix form of b, alternates extracting the truncation
-    pair from the current iterate with an inner solve until the squared
-    relative change across refits drops below outer_tol. The stage counts as
-    converged only if, in addition, its last inner solve converged: a capped
-    inner solve can pass the outer test by barely moving. r = 0 is the plain
-    nuclear-norm model: its pair does not depend on the iterate, so a single
-    inner solve suffices and its trace, convergence flag included, is returned.
+    Starting from x0 (by default the matrix form of b), alternates extracting
+    the truncation pair from the current iterate with an inner solve until
+    the squared relative change across refits, the first taken from x0,
+    drops below outer_tol. The first inner solve starts from the matrix form
+    of b/c, and each later one where the one before it ended (the `carry` of
+    `_iterate`): the data do not change between refits, only the pair. The
+    stage counts as converged only if, in addition, its last inner solve
+    converged: a capped inner solve can pass the outer test by barely moving.
+    r = 0 is the plain nuclear-norm model: its pair does not depend on the
+    iterate, so a single inner solve suffices and its trace, convergence flag
+    included, is returned.
     """
     cfg = cfg or SolverConfig()
     b = _as_measurement(b, a.p)
@@ -359,10 +389,11 @@ def solve_with_rank(a: LinearMap, b, r: int, inner: str = "admm",
         return _run_inner(inner, a, b, TruncationPair.empty(*a.shape), cfg)
     denom = float(b @ b) or 1.0
     stage_trace = StageTrace(rank=int(r))
-    x_l = a.adjoint(b)
+    x_l = a.adjoint(b) if x0 is None else a._check_domain(x0)
+    carry = {}
     for l in range(1, cfg.max_refit_iters + 1):
         pair = truncation_pair(x_l, r)
-        x_next, t = _run_inner(inner, a, b, pair, cfg)
+        x_next, t = _run_inner(inner, a, b, pair, cfg, carry)
         stage_trace.absorb(t, l)
         change = float(np.linalg.norm(x_next - x_l, "fro") ** 2) / denom
         stage_trace.l_change.append(change)
@@ -379,8 +410,11 @@ def lrisd_stages(a: LinearMap, b, inner: str = "admm", sve_cfg: SveConfig | None
 
     Stage 0 solves the nuclear-norm model (empty truncation pair), each later
     stage the fixed-rank model at the rank `trace.sve` estimated on the stage
-    before. `profile` is the estimate made on x; it is None for max_outer = 0,
-    min(m, n) < 3 and the last stage at the max_outer cap. The stages end when
+    before, starting from that stage's recovery: its first truncation pair
+    and its first outer change are taken from it, as Iterative Support
+    Detection starts each stage from the last one's solution. `profile` is
+    the estimate made on x; it is None for max_outer = 0, min(m, n) < 3 and
+    the last stage at the max_outer cap. The stages end when
     sve_cfg.stability consecutive estimates agree or the first estimate is 0.
     """
     sve_cfg = sve_cfg or SveConfig()
@@ -388,10 +422,10 @@ def lrisd_stages(a: LinearMap, b, inner: str = "admm", sve_cfg: SveConfig | None
     max_outer = sve_cfg.max_outer if min(a.shape) >= 3 else 0
     kappa = sve_cfg.resolve_kappa(*a.shape)
     estimates: list[int] = []
-    profile = None
+    profile = x = None
     for stage in range(max_outer + 1):
         try:
-            x, trace = solve_with_rank(a, b, profile.r_hat if stage else 0, inner, cfg)
+            x, trace = solve_with_rank(a, b, profile.r_hat if stage else 0, inner, cfg, x)
         except SolverDivergence as e:
             e.trace.stage = stage
             raise SolverDivergence(f"stage {stage}: {e}", e.trace) from e

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from tnnr import linalg
+from tnnr import linalg, solvers
 from tnnr.data import SyntheticSpec, synth_lowrank
 from tnnr.linalg import TruncationPair, nuclear_norm, shrink, truncated_nuclear_norm, truncation_pair
 from tnnr.metrics import relative_error
@@ -38,6 +38,8 @@ from helpers import q_adjoint, q_apply
 
 SOLVERS = {"admm": (tnnr_admm, _admm_steps), "apgl": (tnnr_apgl, _apgl_steps),
            "admmap": (tnnr_admmap, _admmap_steps)}
+# the iterates each step generator yields, and a warm start takes back
+SOLVER_ITERATES = {"admm": ("Y", "Z"), "apgl": ("Y", "tau"), "admmap": ("Y", "z11", "z22", "xi")}
 
 
 def full_mask(m, n):
@@ -557,8 +559,9 @@ class TestLrisd:
 
     @pytest.mark.parametrize("inner", ["admm", "apgl", "admmap"])
     def test_capped_refits_do_not_report_convergence(self, inner):
-        # every refit restarts from the data and stops after one iteration, so
-        # consecutive refits barely differ and pass the outer test
+        # every refit stops after one iteration, one step from where the refit
+        # before it ended, so consecutive refits barely differ and pass the
+        # outer test
         _, a, b = instance(12, 12, 2, 0.7, 0.0, 16)
         _, trace = solve_with_rank(a, b, 2, inner, SolverConfig(max_inner_iters=1))
         assert trace.inner_iters and set(trace.inner_iters) == {1}
@@ -572,6 +575,87 @@ class TestLrisd:
         assert all(len(row) == 6 for row in rows)
         stages = {row[0] for row in rows}
         assert 0 in stages
+
+
+def _holds_no_array(trace) -> bool:
+    """Whether a StageTrace's fields, apart from its rank-estimation profile
+    (the spectrum its estimate was made on), hold no array, in lists or not."""
+    values = [v for name, v in vars(trace).items() if name != "sve"]
+    return not any(isinstance(v, np.ndarray) for value in values
+                   for v in (value if isinstance(value, list) else [value]))
+
+
+class TestContinuation:
+    """Each lrisd stage starts from the last stage's recovery, and each refit's
+    inner solve from the last refit's iterates."""
+
+    SPEC = SyntheticSpec(60, 60, 3, 0.5, 0.5, 12345)
+
+    def test_handoff_lowers_the_error_of_a_cold_start(self):
+        x_star, a, b = synth_lowrank(self.SPEC, kind="dct")
+        cfg = SolverConfig(delta=self.SPEC.std * np.sqrt(a.p))
+        x, traces = lrisd(a, b, "admm", SveConfig(), cfg)
+        assert [t.rank for t in traces] == [0, 3]
+        x_cold, _ = solve_with_rank(a, b, 3, "admm", cfg)
+        # 0.155 against 0.188
+        assert relative_error(x, x_star) < 0.9 * relative_error(x_cold, x_star)
+
+    def test_stage_starts_from_the_last_recovery(self):
+        # a later stage is solve_with_rank at its rank started from the stage
+        # before: its first pair and its first outer change come from there
+        _, a, b = instance(30, 30, 2, 0.6, 0.0, 9)
+        stages = list(lrisd_stages(a, b))
+        assert len(stages) >= 2
+        for (x_prev, _, profile), (x, trace, _) in zip(stages, stages[1:]):
+            again, _ = solve_with_rank(a, b, profile.r_hat, "admm", SolverConfig(), x_prev)
+            assert again.tobytes() == x.tobytes()
+            x_first, _ = solve_with_rank(a, b, profile.r_hat, "admm",
+                                         SolverConfig(max_refit_iters=1), x_prev)
+            change = np.linalg.norm(x_first - x_prev, "fro") ** 2 / float(b @ b)
+            assert trace.l_change[0] == change
+
+    @pytest.mark.parametrize("name", ["admm", "admmap"])
+    def test_warm_refit_reaches_the_cold_objective_sooner(self, name):
+        # the second refit of the last stage, from the first refit's iterates
+        # and from A*(b): admm 1 against 15 iterations, admmap 9 against 16
+        _, a, b = synth_lowrank(self.SPEC, kind="dct")
+        cfg = SolverConfig(delta=self.SPEC.std * np.sqrt(a.p))
+        stages = list(lrisd_stages(a, b, name, SveConfig(), cfg))
+        x_prev, r = stages[-2][0], stages[-1][1].rank
+        solve = SOLVERS[name][0]
+        carry = {}
+        x_first, _ = solve(a, b, truncation_pair(x_prev, r), cfg, carry)
+        pair = truncation_pair(x_first, r)
+        x_cold, cold = solve(a, b, pair, cfg)
+        x_warm, warm = solve(a, b, pair, cfg, carry)
+        assert warm.converged and cold.converged
+        assert len(warm.k) < len(cold.k)
+        assert warm.beta[0] == cold.beta[0]  # admmap's grown penalty is not carried
+        assert objective(x_warm, pair) - objective(x_cold, pair) <= 1e-3 * nuclear_norm(x_cold)
+        assert carry and carry.keys() == {"X", *SOLVER_ITERATES[name]}
+
+    @pytest.mark.parametrize("name", ["admm", "apgl", "admmap"])
+    def test_carried_iterates_die_with_their_stage(self, name):
+        # every array a step generator yields is gone once its stage has
+        # ended; the carry lives only as long as the stage's refits
+        _, a, b = instance(30, 30, 2, 0.6, 0.1, 9)
+        cfg = SolverConfig(delta=0.1 * np.sqrt(a.p))
+        steps = SOLVERS[name][1]
+        made = []
+
+        def recording(*args):
+            for item in steps(*args):
+                made.extend(weakref.ref(v) for v in (item[0], *item[4].values())
+                            if isinstance(v, np.ndarray))
+                yield item
+
+        stages = 0
+        with mock.patch.object(solvers, steps.__name__, recording):
+            for _, trace, _ in lrisd_stages(a, b, name, SveConfig(), cfg):
+                stages += 1
+                assert made and all(ref() is None for ref in made)
+                assert _holds_no_array(trace)
+        assert stages >= 2
 
 
 class TestScaleFree:
@@ -628,14 +712,16 @@ class TestDefaultStop:
         spec = SyntheticSpec(60, 60, 3, 0.5, 0.5, 12345)
         _, a, b = synth_lowrank(spec, kind="dct")
         cfg = SolverConfig(delta=spec.std * np.sqrt(a.p))
-        _, traces = lrisd(a, b, "admm", SveConfig(), cfg)
-        last = traces[-1]
+        stages = list(lrisd_stages(a, b, "admm", SveConfig(), cfg))
+        (x_before, _, _), (x_hat, last, _) = stages[-2:]
         assert last.rank == 3
+        # the pair of the last refit: from the stage before's recovery, or
+        # from the refit before, which started from there too
         refits = len(last.inner_iters)
-        x_prev = (a.adjoint(b) if refits == 1 else solve_with_rank(
-            a, b, last.rank, "admm", dataclasses.replace(cfg, max_refit_iters=refits - 1))[0])
+        x_prev = (x_before if refits == 1 else solve_with_rank(
+            a, b, last.rank, "admm", dataclasses.replace(cfg, max_refit_iters=refits - 1),
+            x_before)[0])
         pair = truncation_pair(x_prev, last.rank)
-        x_hat, _ = tnnr_admm(a, b, pair, cfg)
         x_tight, tight = tnnr_admm(a, b, pair, dataclasses.replace(
             cfg, inner_tol=1e-11, max_inner_iters=100000))
         assert tight.converged
