@@ -656,8 +656,24 @@ def _flag_value(f, value):
         raise ValueError(f"config field '{f.name}': {e}") from None
 
 
-def main(argv=None) -> int:
+def _parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with one repair: Python 3.11's
+    argparse hands a flag with an optional value (`--adjust [W]`) its const
+    for `--name=--`, as if no value had been given. Such a field is set to
+    the [] the other flags get for `--`, which `_flag_value` reads back as
+    the string '--'. A prefix of the flag counts, as argparse takes it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    given = [t[:-3] for t in argv if t.startswith("--") and t.endswith("=--") and len(t) > 5]
+    for f in _SETTINGS:
+        flag = "--" + f.name.replace("_", "-")
+        if f.metadata["flag"].get("nargs") == "?" and any(flag.startswith(g) for g in given):
+            setattr(args, f.name, [])
+    return args
+
+
+def main(argv=None) -> int:
+    args = _parse_args(argv)
     try:
         if args.command == "plot-data":
             emit_plot_data(args.files, args.out)

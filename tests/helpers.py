@@ -1,6 +1,7 @@
 """Reference code that only the tests use: a full SVD with a fixed sign
 convention, the block embedding Q of the block-matrix ADMM (the solver uses
-its closed form), and the closed-form inverse of (I + alpha A*A)."""
+its closed form), the closed-form inverse of (I + alpha A*A), and the
+composite test images of acceptance criterion 10."""
 
 from dataclasses import dataclass
 
@@ -92,3 +93,20 @@ def inverse_identity_check(a: LinearMap, alpha: float, x) -> float:
     z = x + alpha * a.adjoint(a.apply(x))
     w = z - (alpha / (1.0 + alpha)) * a.adjoint(a.apply(z))
     return float(np.linalg.norm(w - x, "fro"))
+
+
+def composite_image(seed, size=64):
+    """Low-rank smooth base plus weak texture, three channels."""
+    rng = np.random.default_rng(seed)
+    u = np.linspace(0, 1, size)
+    base = np.zeros((size, size))
+    for k in range(4):
+        f1 = np.sin((k + 1) * np.pi * u + rng.uniform(0, 2 * np.pi))
+        f2 = np.cos((k + 2) * np.pi * u + rng.uniform(0, 2 * np.pi))
+        base += rng.uniform(0.5, 1.5) * np.outer(f1, f2)
+    base = (base - base.min()) / (base.max() - base.min()) * 180 + 40
+    channels = []
+    for _ in range(3):
+        texture = rng.normal(0, 6, (size, size))
+        channels.append(np.clip(base * rng.uniform(0.85, 1.15) + texture, 0, 255).round())
+    return channels

@@ -29,7 +29,7 @@ from tnnr.solvers import (
 )
 from tnnr.sve import SveConfig, estimate_rank
 
-from helpers import inverse_identity_check
+from helpers import composite_image, inverse_identity_check
 
 
 def report(criterion, detail):
@@ -253,23 +253,6 @@ def test_criterion_9_stage_stability():
     report(9, f"stage counts {stage_counts}; {stable}/10 within 3 stages; {elapsed:.0f}s")
 
 
-def _composite_image(seed, size=64):
-    """Low-rank smooth base plus weak texture, three channels."""
-    rng = np.random.default_rng(seed)
-    u = np.linspace(0, 1, size)
-    base = np.zeros((size, size))
-    for k in range(4):
-        f1 = np.sin((k + 1) * np.pi * u + rng.uniform(0, 2 * np.pi))
-        f2 = np.cos((k + 2) * np.pi * u + rng.uniform(0, 2 * np.pi))
-        base += rng.uniform(0.5, 1.5) * np.outer(f1, f2)
-    base = (base - base.min()) / (base.max() - base.min()) * 180 + 40
-    channels = []
-    for _ in range(3):
-        texture = rng.normal(0, 6, (size, size))
-        channels.append(np.clip(base * rng.uniform(0.85, 1.15) + texture, 0, 255).round())
-    return channels
-
-
 def test_criterion_10_image_smoke(tmp_path):
     """On composite test images with half the pixels missing, the multi-stage
     recovery matches or beats the convex baseline on most images."""
@@ -278,7 +261,7 @@ def test_criterion_10_image_smoke(tmp_path):
     psnrs = []
     for i in range(3):
         image_path = tmp_path / f"composite{i}.ppm"
-        save_image(_composite_image(1000 + i), image_path)
+        save_image(composite_image(1000 + i), image_path)
         out = tmp_path / f"run{i}"
         cfg = ExperimentConfig(command="complete", operator="mask", sr=0.5,
                                image=str(image_path), seed=100 + i,

@@ -16,6 +16,7 @@ from tnnr.cli import (
     _config_from_args,
     _fmt,
     _kind,
+    _parse_args,
     build_parser,
     emit_plot_data,
     main,
@@ -289,6 +290,25 @@ class TestSmallShapesAndAdjust:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config field 'adjust'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--adjust=--", "--adj=--"])
+    def test_adjust_dashes_fail_as_in_a_file(self, tmp_path, capsys, flag):
+        # argparse hands `--adjust=--` the flag's const, W = 2; the value is
+        # the string '--', which fails as the config file's `adjust = --` does
+        config = tmp_path / "c.txt"
+        config.write_text("adjust = --\n")
+        out = tmp_path / "o"
+        argv = ["compare", "--m", "10", "--n", "10", "--rank", "1", "--out", str(out)]
+        errors = []
+        for given in (["--config", str(config)], [flag]):
+            assert main(argv + given) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        reason = "field 'adjust': invalid literal for int() with base 10: '--'\n"
+        assert errors[0].endswith(reason)
+        assert errors[1] == "error: config " + reason
+        # the flag alone still means W = 2
+        assert _config_from_args(_parse_args(argv + ["--adjust"])).adjust == 2
 
 
 class TestOperatorFieldsOutsideTheirUse:
