@@ -1,0 +1,57 @@
+"""Golden outputs: every run in tests/golden/manifest.json gives the files
+committed next to it. Integers and strings must match exactly; a float must
+lie within 1e-9 of its column's largest magnitude, since BLAS builds and
+thread counts round differently. Other files must match byte for byte.
+After a change that moves results on purpose, rewrite the files with
+`PYTHONPATH=src python tests/golden/regen.py`."""
+
+import csv
+import io
+import math
+import re
+
+import pytest
+
+from golden.regen import CONFIGS, GOLDEN, outputs
+
+REL_TOL = 1e-9
+_INT = re.compile(r"-?\d+")
+
+
+def _float(cell):
+    try:
+        return None if _INT.fullmatch(cell) else float(cell)
+    except ValueError:
+        return None
+
+
+def _assert_csv_close(want_text, got_text, where):
+    want = list(csv.reader(io.StringIO(want_text)))
+    got = list(csv.reader(io.StringIO(got_text)))
+    assert got[:1] == want[:1], f"{where}: header"
+    assert len(got) == len(want), f"{where}: row count"
+    scale = [max((abs(v) for row in want[1:]
+                  if (v := _float(row[j])) is not None and math.isfinite(v)), default=0.0)
+             for j in range(len(want[0]))]
+    for i, (w, g) in enumerate(zip(want[1:], got[1:]), 2):
+        assert len(g) == len(w), f"{where} line {i}: cell count"
+        for j, (wc, gc) in enumerate(zip(w, g)):
+            wf, gf = _float(wc), _float(gc)
+            if wf is None or gf is None or not math.isfinite(wf):  # ints, strings, nan, inf
+                assert gc == wc, f"{where} line {i}, {want[0][j]}: {gc!r} != {wc!r}"
+            else:
+                assert abs(gf - wf) <= REL_TOL * scale[j], (
+                    f"{where} line {i}, {want[0][j]}: {gc} != {wc}")
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_outputs_match_the_goldens(name):
+    got = outputs(name)
+    committed = sorted(p.name for p in (GOLDEN / name).iterdir())
+    assert sorted(got) == committed
+    for filename in committed:
+        want = (GOLDEN / name / filename).read_text()
+        if filename.endswith(".csv"):
+            _assert_csv_close(want, got[filename], f"{name}/{filename}")
+        else:
+            assert got[filename] == want, f"{name}/{filename}"
