@@ -4,7 +4,7 @@ estimation traces, and baseline-vs-multistage comparisons.
 `ExperimentConfig`'s fields are the one table of settings: each declares its
 default, its flag's help and options, and the commands, inner solvers and
 operators that read it. Each is a flag of every experiment command and a
-config-file key.
+config-file key, and `_coerce` parses its value from either.
 `validate()` checks every field before a run writes anything, the same way
 from either source.
 
@@ -121,7 +121,7 @@ class ExperimentConfig:
     out: str = _setting("out", "output directory")
     adjust: int | None = _setting(None, "after estimation, search ranks within +/- W "
                                   "(W = 2 if omitted)", ("complete", "dct-synth", "compare"),
-                                  nargs="?", const=2, metavar="W")
+                                  nargs="?", const="2", metavar="W")
 
     def validate(self) -> "_Plan":
         """Check every field, then build the run's library settings, so that
@@ -137,7 +137,10 @@ class ExperimentConfig:
                 fail(f.name, f"must be one of {choices}, got {value!r}")
             if _kind(f.type) is float and value is not None and not np.isfinite(value):
                 fail(f.name, f"must be finite, got {value}")
-            if value == f.default:
+        # readers are checked once every chooser holds a valid value, so that a
+        # bad solver is named as such, not as a setting it does not read
+        for f in _SETTINGS:
+            if getattr(self, f.name) == f.default:
                 continue
             for chooser in _READERS:
                 users, chosen = f.metadata[chooser], getattr(self, chooser)
@@ -347,7 +350,6 @@ class _Trial(typing.NamedTuple):
     channels: list
     finish: typing.Callable
     score: typing.Callable
-    true_r: int | None = None
     write: typing.Callable | None = None
 
 
@@ -370,9 +372,11 @@ def _solve_channel(plan: _Plan, trial: _Trial, channel: int) -> dict:
     solved = {}
 
     def keep(method, start, x, traces, profile=None):
+        """Record the result of a method the command reports; return its rank."""
         if method in methods:
             rank = _recovered_rank(x, kappa) if profile is None else profile.r_hat
             solved[method] = (trial.finish(x), rank, traces, time.perf_counter() - start)
+            return rank
 
     start = time.perf_counter()
     traces = []
@@ -380,10 +384,10 @@ def _solve_channel(plan: _Plan, trial: _Trial, channel: int) -> dict:
         if trace.stage == 0:
             keep("lr", start, x, [trace], profile)
         traces.append(trace)
-    keep("lrisd", start, x, traces, profile)
+    lrisd_rank = keep("lrisd", start, x, traces, profile)
     if cfg.adjust is not None:
         start = time.perf_counter()
-        x, traces = _adjust_sweep(a, b, x, trace.rank, solved["lrisd"][1], cfg, solver_cfg,
+        x, traces = _adjust_sweep(a, b, x, trace.rank, lrisd_rank, cfg, solver_cfg,
                                   score=lambda xc: trial.score(trial.finish(xc), truth))
         keep("lrisd-adjust", start, x, traces)
     return solved
@@ -405,7 +409,7 @@ def _trial_rows(plan: _Plan, trial: _Trial, solved: list[dict]):
         sve_rows.extend(_sve_rows(trial.seed, method, traces))
         metrics.append(_metrics_row(
             experiment=cfg.command, seed=trial.seed, method=method, operator=cfg.operator,
-            solver=cfg.solver, m=m, n=n, true_r=trial.true_r, sr=cfg.sr, std=cfg.std,
+            solver=cfg.solver, m=m, n=n, true_r=cfg.rank, sr=cfg.sr, std=cfg.std,
             kappa=kappa,
             # only the setting the solver reads: mu for apgl, delta for the others
             delta=None if penalized else solver_cfg.delta, mu=cfg.mu if penalized else None,
@@ -424,20 +428,17 @@ def _adjust_sweep(a, b, x_hat, r_hat, r_center, cfg, solver_cfg, score):
     (higher score wins; ties go to the smaller rank). x_hat, the last stage's
     solve at its rank r_hat, is that rank's candidate: it is not solved
     again, and the returned traces hold the solves the sweep ran."""
-    w = cfg.adjust
-    q = min(a.shape)
-    best = None
     merged = []
-    for r in range(max(0, r_center - w), min(q, r_center + w) + 1):
+
+    def candidate(r):
         if r == r_hat:
-            x = x_hat
-        else:
-            x, trace = solve_with_rank(a, b, r, cfg.solver, solver_cfg, x_hat)
-            merged.append(trace)
-        s = score(x)
-        if best is None or s > best[0]:
-            best = (s, x)
-    return best[1], merged
+            return x_hat
+        x, trace = solve_with_rank(a, b, r, cfg.solver, solver_cfg, x_hat)
+        merged.append(trace)
+        return x
+
+    ranks = range(max(0, r_center - cfg.adjust), min(min(a.shape), r_center + cfg.adjust) + 1)
+    return max(map(candidate, ranks), key=score), merged
 
 
 def _synthetic_trial(plan: _Plan, seed: int) -> _Trial:
@@ -445,7 +446,7 @@ def _synthetic_trial(plan: _Plan, seed: int) -> _Trial:
     x_star, a, b = synth_lowrank(replace(plan.spec, seed=seed), kind=cfg.operator,
                                  keep_dc=cfg.keep_dc)
     return _Trial(seed, a, [(b, x_star)], finish=lambda x: x,
-                  score=lambda x, truth: -relative_error(x, truth), true_r=cfg.rank)
+                  score=lambda x, truth: -relative_error(x, truth))
 
 
 def _operator_file(cfg: ExperimentConfig, shape):
@@ -456,8 +457,7 @@ def _operator_file(cfg: ExperimentConfig, shape):
         return None
     a = OPERATORS[cfg.operator].from_file(path)
     if a.shape != shape:
-        kind = "mask" if cfg.mask_file else "keep"
-        raise ValueError(f"{kind} file shape {a.shape} does not match image {shape}")
+        raise ValueError(f"{a.file_kind} file shape {a.shape} does not match image {shape}")
     return a
 
 
@@ -622,9 +622,12 @@ def build_parser() -> argparse.ArgumentParser:
             for chooser, every in _READERS.items():
                 if len(f.metadata[chooser]) < len(every):
                     help += f"; read by {', '.join(f.metadata[chooser])} only"
-            kind = _kind(f.type)
-            options = ({"action": "store_const", "const": True} if kind is bool
-                       else {"type": kind, **f.metadata["flag"]})
+            # values stay strings, parsed by _coerce and checked by validate()
+            # as a config file's are
+            options = ({"action": "store_const", "const": "true"} if _kind(f.type) is bool
+                       else dict(f.metadata["flag"]))
+            if choices := options.pop("choices", None):
+                options["metavar"] = "{" + ",".join(choices) + "}"
             p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=help, **options)
 
     p = sub.add_parser("plot-data", help="aggregate run CSVs into plot-ready series")
@@ -634,41 +637,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """The --config file's settings (or the defaults), overridden by the flags given."""
+    """The --config file's settings (or the defaults), overridden by the flags
+    given, each parsed as the file's value would be."""
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     if cfg.command not in ("", args.command):
         raise ValueError(
             f"config file command '{cfg.command}' conflicts with subcommand '{args.command}'")
-    given = {f.name: _flag_value(f, v) for f in _SETTINGS
-             if (v := getattr(args, f.name)) is not None}
+    given = {}
+    for f in _SETTINGS:
+        if (value := getattr(args, f.name)) is not None:
+            try:
+                given[f.name] = _coerce(_kind(f.type), value)
+            except ValueError as e:
+                raise ValueError(f"config field '{f.name}': {e}") from None
     return replace(cfg, command=args.command, **given)
 
 
-def _flag_value(f, value):
-    """A parsed flag's value as a config file gives it. Python 3.11's argparse
-    drops the value '--' of `--name=--` and leaves an empty list, which no
-    setting can hold: read it back as the string '--'."""
-    if value != []:
-        return value
-    try:
-        return _coerce(_kind(f.type), "--")
-    except ValueError as e:
-        raise ValueError(f"config field '{f.name}': {e}") from None
+# Python 3.11's argparse drops the value '--' of `--name=--`; no argv token
+# can hold a NUL byte, so this stand-in carries that value through parsing
+_DASHES = "\0--"
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv), with one repair: Python 3.11's
-    argparse hands a flag with an optional value (`--adjust [W]`) its const
-    for `--name=--`, as if no value had been given. Such a field is set to
-    the [] the other flags get for `--`, which `_flag_value` reads back as
-    the string '--'. A prefix of the flag counts, as argparse takes it."""
+    """build_parser().parse_args(argv), where `--name=--` (a prefix of the
+    flag included, as argparse takes it) gives the option the value '--'."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    for i, token in enumerate(argv):
+        if token == "--":
+            break  # the tokens after a bare '--' are positional, kept as given
+        name, _, value = token.partition("=")
+        if name.startswith("-") and value == "--":
+            argv[i] = f"{name}={_DASHES}"
     args = build_parser().parse_args(argv)
-    given = [t[:-3] for t in argv if t.startswith("--") and t.endswith("=--") and len(t) > 5]
-    for f in _SETTINGS:
-        flag = "--" + f.name.replace("_", "-")
-        if f.metadata["flag"].get("nargs") == "?" and any(flag.startswith(g) for g in given):
-            setattr(args, f.name, [])
+    for name, value in vars(args).items():
+        if value == _DASHES:
+            setattr(args, name, "--")
     return args
 
 

@@ -5,10 +5,12 @@ frequency subsets) derived from one seed, so each component of an experiment
 is independently reproducible.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import _as_channels
 from .operators import OPERATORS, LinearMap
 
 __all__ = ["SyntheticSpec", "stream_rng", "random_operator", "synth_lowrank", "load_image",
@@ -75,27 +77,22 @@ def synth_lowrank(spec: SyntheticSpec, kind: str = "dct",
     return x_star, a, b
 
 
+# whitespace and '#' comments up to the end of the line, then one header token;
+# a comment ends only at a newline or the end of the blob, so no backtracking
+# can read a token out of it
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)")
+
+
 def _parse_netpbm(blob: bytes, path) -> tuple[bytes, int, int, int, bytes]:
     """Split a netpbm blob into (magic, width, height, maxval, raster);
     headers may contain '#' comments. The three numbers must be positive
     decimal integers."""
-    tokens = []
-    i = 0
+    tokens, i = [], 0
     while len(tokens) < 4:
-        if i >= len(blob):
+        if not (match := _HEADER_TOKEN.match(blob, i)):
             raise ValueError(f"bad image file {path}: truncated header")
-        c = blob[i:i + 1]
-        if c == b"#":
-            j = blob.find(b"\n", i)
-            i = len(blob) if j < 0 else j + 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(blob) and not blob[j:j + 1].isspace() and blob[j:j + 1] != b"#":
-                j += 1
-            tokens.append(blob[i:j])
-            i = j
+        tokens.append(match[1])
+        i = match.end()
     magic, *numbers = tokens
     if magic not in (b"P5", b"P6"):
         raise ValueError(f"bad image file {path}: magic {magic!r} is not binary PGM/PPM")
@@ -130,13 +127,8 @@ def load_image(path) -> list[np.ndarray]:
 def save_image(channels, path) -> None:
     """Write 1 channel as binary PGM or 3 channels as binary PPM; entries are
     rounded and clipped to [0, 255]."""
-    channels = [np.asarray(c, dtype=np.float64) for c in channels]
-    if len(channels) not in (1, 3):
-        raise ValueError(f"expected 1 or 3 channels, got {len(channels)}")
-    shape = channels[0].shape
-    if len(shape) != 2 or any(c.shape != shape for c in channels):
-        raise ValueError("all channels must be 2-D matrices of equal shape")
-    height, width = shape
+    channels = _as_channels(channels)
+    height, width = channels[0].shape
     quantized = [np.clip(np.round(c), 0, 255).astype(np.uint8) for c in channels]
     magic = b"P5" if len(quantized) == 1 else b"P6"
     with open(path, "wb") as f:

@@ -22,6 +22,7 @@ class MetricsReport:
 
 
 def _as_channels(x) -> list[np.ndarray]:
+    """1 or 3 float64 matrices of one shape; a single matrix is one channel."""
     if isinstance(x, np.ndarray) and x.ndim == 2:
         x = [x]
     channels = [np.asarray(c, dtype=np.float64) for c in x]
@@ -30,6 +31,14 @@ def _as_channels(x) -> list[np.ndarray]:
     if any(c.ndim != 2 or c.shape != channels[0].shape for c in channels):
         raise ValueError("channels must be 2-D matrices of equal shape")
     return channels
+
+
+def _paired(x, reference) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """x and reference as channel lists, checked to have equal shapes."""
+    rec, true = _as_channels(x), _as_channels(reference)
+    if len(rec) != len(true) or rec[0].shape != true[0].shape:
+        raise ValueError(f"shape mismatch {[r.shape for r in rec]} vs {[t.shape for t in true]}")
+    return rec, true
 
 
 def psnr(x_rec, x_true, eval_mask=None) -> MetricsReport:
@@ -41,10 +50,7 @@ def psnr(x_rec, x_true, eval_mask=None) -> MetricsReport:
     MSE = SE / (3 T) with T the evaluated pixel count and SE summed over the
     channels. Exact recovery is capped at 99 dB.
     """
-    rec = _as_channels(x_rec)
-    true = _as_channels(x_true)
-    if len(rec) != len(true) or rec[0].shape != true[0].shape:
-        raise ValueError("recovered and reference images must have matching shapes")
+    rec, true = _paired(x_rec, x_true)
     if eval_mask is None:
         eval_mask = np.ones(rec[0].shape, dtype=bool)
     eval_mask = np.asarray(eval_mask, dtype=bool)
@@ -70,10 +76,7 @@ def relative_error(x_re, x_star) -> float:
     side, without building that stack. A single matrix gives exactly the
     quotient of its two Frobenius norms.
     """
-    rec = _as_channels(x_re)
-    true = _as_channels(x_star)
-    if len(rec) != len(true) or any(r.shape != t.shape for r, t in zip(rec, true)):
-        raise ValueError(f"shape mismatch {[r.shape for r in rec]} vs {[t.shape for t in true]}")
+    rec, true = _paired(x_re, x_star)
     denom = math.hypot(*(float(np.linalg.norm(t)) for t in true))
     if denom == 0:
         raise ValueError("reference matrix is zero")

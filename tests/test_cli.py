@@ -17,7 +17,6 @@ from tnnr.cli import (
     _fmt,
     _kind,
     _parse_args,
-    build_parser,
     emit_plot_data,
     main,
     run,
@@ -253,7 +252,7 @@ class TestConfigRoundTrips:
             value = getattr(cfg, f.name)
             if value is not None and value is not False:
                 argv += _argv_value(f.name, value)
-        assert _config_from_args(build_parser().parse_args(argv)) == cfg
+        assert _config_from_args(_parse_args(argv)) == cfg
 
 
 class TestSmallShapesAndAdjust:
@@ -309,6 +308,106 @@ class TestSmallShapesAndAdjust:
         assert errors[1] == "error: config " + reason
         # the flag alone still means W = 2
         assert _config_from_args(_parse_args(argv + ["--adjust"])).adjust == 2
+
+
+class TestArgvValues:
+    """A flag's value is read as a config file's value is: '--' given as
+    `--name=--` is the value '--', and a malformed value fails naming its
+    field, from either source."""
+
+    def test_plot_data_out_dashes_is_a_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.csv").write_text("seed,method,sr,std,reer\n0,lr,0.5,0.1,0.25\n")
+        assert main(["plot-data", "m.csv", "--out=--"]) == 0
+        assert read_csv(tmp_path / "--" / "reer_vs_std.csv") == [
+            {"std": "0.1", "method": "lr", "median_reer": "0.25"}]
+
+    def test_config_dashes_reads_the_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "--").write_text("m = 7\n")
+        assert _config_from_args(_parse_args(["compare", "--config=--"])).m == 7
+        (tmp_path / "--").write_text("command = dct-synth\n")
+        assert main(["compare", "--config=--", "--m", "10", "--n", "10", "--rank", "1",
+                     "--out", "o"]) == 2
+        assert "config file command 'dct-synth' conflicts" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, value, reason", [
+        ("m", "x", "invalid literal for int() with base 10: 'x'"),
+        ("sr", "half", "could not convert string to float: 'half'"),
+    ])
+    def test_malformed_value_fails_alike_from_flag_and_file(self, tmp_path, capsys,
+                                                            name, value, reason):
+        config = tmp_path / "c.txt"
+        config.write_text(f"{name} = {value}\n")
+        out = tmp_path / "o"
+        errors = []
+        for given in ([f"--{name}={value}"], ["--config", str(config)]):
+            assert main(["compare", "--m", "10", "--n", "10", "--rank", "1", *given,
+                         "--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0] == f"error: config field '{name}': {reason}\n"
+        assert errors[1] == f"error: config file {config} line 1, field '{name}': {reason}\n"
+
+    @pytest.mark.parametrize("name", ["operator", "solver", "kappa_mode"])
+    def test_bad_choice_fails_alike_from_flag_and_file(self, tmp_path, capsys, name):
+        config = tmp_path / "c.txt"
+        config.write_text(f"{name} = foo\n")
+        out = tmp_path / "o"
+        results = []
+        for given in (_argv_value(name, "foo"), ["--config", str(config)]):
+            code = main(["compare", "--m", "10", "--n", "10", "--rank", "1", *given,
+                         "--out", str(out)])
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == 2
+        assert f"config field '{name}': must be one of" in results[0][1]
+        assert not out.exists()
+
+    def test_only_a_whole_dashes_value_is_replaced(self):
+        assert _config_from_args(_parse_args(["compare", "--out=x=--"])).out == "x=--"
+        args = _parse_args(["plot-data", "--out=x=--", "--", "-f=--"])
+        assert args.out == "x=--" and args.files == ["-f=--"]
+
+
+class TestAdjustSweep:
+    """The sweep solves every rank of its window but lrisd's own, clipped to
+    [0, min(m, n)], and keeps the first best-scoring candidate."""
+
+    @pytest.fixture
+    def sweep(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from tnnr import cli
+
+        solved = []
+
+        def solve_with_rank(a, b, r, inner, cfg, x0):
+            solved.append(r)
+            return np.full((1, 1), float(r)), f"trace {r}"
+
+        monkeypatch.setattr(cli, "solve_with_rank", solve_with_rank)
+        a, cfg = SimpleNamespace(shape=(5, 6)), SimpleNamespace(adjust=2, solver="admm")
+
+        def run_sweep(r_center, score):
+            solved.clear()
+            x, traces = cli._adjust_sweep(a, None, np.full((1, 1), 3.0), 3, r_center, cfg,
+                                          None, lambda x: score(x[0, 0]))
+            return x[0, 0], solved[:], traces
+
+        return run_sweep
+
+    def test_ties_go_to_the_smaller_rank(self, sweep):
+        assert sweep(3, lambda r: -abs(r - 3.5)) == (3.0, [1, 2, 4, 5],
+                                                     ["trace 1", "trace 2", "trace 4",
+                                                      "trace 5"])
+        assert sweep(3, lambda r: 0.0)[0] == 1.0
+        assert sweep(3, lambda r: r)[0] == 5.0
+
+    def test_window_is_clipped_to_the_ranks(self, sweep):
+        assert sweep(4, lambda r: 0.0)[:2] == (2.0, [2, 4, 5])
+        assert sweep(0, lambda r: 0.0)[:2] == (0.0, [0, 1, 2])
 
 
 class TestOperatorFieldsOutsideTheirUse:
