@@ -68,12 +68,13 @@ TIMINGS_COLUMNS = ("experiment", "seed", "method", "seconds", "workers", "blas_t
 
 
 def _setting(default, help, reads=tuple(COMMANDS), solvers=INNER_SOLVERS,
-             operators=tuple(OPERATORS), **flag):
+             operators=tuple(OPERATORS), replaced_by=(), **flag):
     """An ExperimentConfig field: its default, its flag's help and extra
-    argparse options, and the commands, inner solvers and operators that
-    read it."""
+    argparse options, the commands, inner solvers and operators that read
+    it, and the settings that, when given, replace it."""
     return field(default=default, metadata={"help": help, "flag": flag, "command": reads,
-                                            "solver": solvers, "operator": operators})
+                                            "solver": solvers, "operator": operators,
+                                            "replaced_by": replaced_by})
 
 
 # the fields that choose which settings are read, each with its choices
@@ -90,19 +91,21 @@ class ExperimentConfig:
     m: int | None = _setting(None, "rows of the synthetic matrix", SYNTHETIC)
     n: int | None = _setting(None, "columns of the synthetic matrix", SYNTHETIC)
     rank: int | None = _setting(None, "ground-truth rank", SYNTHETIC)
-    sr: float = _setting(0.5, "sample ratio (complete: of a random operator)")
+    sr: float = _setting(0.5, "sample ratio (complete: of a random operator)",
+                         replaced_by=("mask_file", "keep_file"))
     std: float = _setting(0.0, "measurement noise std", SYNTHETIC)
     image: str | None = _setting(None, "binary PGM/PPM input image", ("complete",))
     mask_file: str | None = _setting(None, "mask index file", ("complete",),
                                      operators=("mask",))
     keep_file: str | None = _setting(None, "DCT-keep index file", ("complete",),
                                      operators=("dct",))
-    keep_dc: bool = _setting(False, "keep the DC coefficient", operators=("dct",))
+    keep_dc: bool = _setting(False, "keep the DC coefficient", operators=("dct",),
+                             replaced_by=("keep_file",))
     solver: str = _setting("admm", "inner solver", choices=INNER_SOLVERS)
     kappa_mode: str = _setting("synthetic", "heuristic that sets kappa if kappa is unset",
-                               choices=("real", "synthetic"))
+                               choices=("real", "synthetic"), replaced_by=("kappa",))
     kappa: float | None = _setting(None, "explicit jump threshold")
-    kappa_s: float = _setting(1.0, "scale s of the heuristic threshold")
+    kappa_s: float = _setting(1.0, "scale s of the heuristic threshold", replaced_by=("kappa",))
     max_outer: int = _setting(10, "cap on rank-estimation stages")
     stability: int = _setting(2, "equal consecutive estimates that end the stages")
     delta: float | None = _setting(None, "ball radius (unset: std * sqrt(p))",
@@ -137,6 +140,11 @@ class ExperimentConfig:
                 fail(f.name, f"must be one of {choices}, got {value!r}")
             if _kind(f.type) is float and value is not None and not np.isfinite(value):
                 fail(f.name, f"must be finite, got {value}")
+            # config.txt must read back every value it records
+            if isinstance(value, str) and ("#" in value or value != value.strip()
+                                           or len(value.splitlines()) > 1):
+                fail(f.name, f"config.txt cannot hold '#', a line break or surrounding "
+                     f"whitespace, got {value!r}")
         # readers are checked once every chooser holds a valid value, so that a
         # bad solver is named as such, not as a setting it does not read
         for f in _SETTINGS:
@@ -147,6 +155,10 @@ class ExperimentConfig:
                 if chosen not in users:
                     fail(f.name, f"the {chosen} {chooser} does not read it "
                          f"(read by {', '.join(users)})")
+        for f in _SETTINGS:
+            given = [r for r in f.metadata["replaced_by"] if getattr(self, r) is not None]
+            if given and getattr(self, f.name) != f.default:
+                fail(f.name, f"not read, as {given[0]} replaces it")
         if self.trials < 1:
             fail("trials", "must be >= 1")
         if self.adjust is not None and self.adjust < 0:
@@ -155,7 +167,7 @@ class ExperimentConfig:
         if self.command == "complete":
             if not self.image:
                 fail("image", "the complete command requires an image path")
-            if not (self.mask_file or self.keep_file or 0 < self.sr <= 1):
+            if not 0 < self.sr <= 1:  # a random operator's: a file replaces sr
                 fail("sr", f"must be in (0, 1] for a random operator, got {self.sr}")
         else:
             for f in ("m", "n", "rank"):
@@ -362,34 +374,31 @@ def _methods(cfg: ExperimentConfig) -> list[str]:
 
 def _solve_channel(plan: _Plan, trial: _Trial, channel: int) -> dict:
     """The command's methods on one channel of `trial`: lr is stage 0 and
-    lrisd the last stage of one `lrisd_stages` run, and lrisd-adjust sweeps
-    the ranks around this channel's own estimate. Returns, per method, its
-    (finished x, rank, traces, seconds)."""
+    lrisd the last stage of one `lrisd_stages` run, each with the rank that
+    run estimated on it, and lrisd-adjust sweeps the ranks around lrisd's.
+    Returns, per method, its (finished x, rank, traces, seconds)."""
     cfg, solver_cfg = plan.cfg, plan.solver
     a, (b, truth) = trial.a, trial.channels[channel]
-    kappa = plan.sve.resolve_kappa(*a.shape)
     methods = _methods(cfg)
     solved = {}
 
-    def keep(method, start, x, traces, profile=None):
-        """Record the result of a method the command reports; return its rank."""
+    def keep(method, start, x, traces, rank):
+        """Record the result of a method the command reports."""
         if method in methods:
-            rank = _recovered_rank(x, kappa) if profile is None else profile.r_hat
             solved[method] = (trial.finish(x), rank, traces, time.perf_counter() - start)
-            return rank
 
     start = time.perf_counter()
     traces = []
     for x, trace, profile in lrisd_stages(a, b, cfg.solver, plan.sve, solver_cfg):
         if trace.stage == 0:
-            keep("lr", start, x, [trace], profile)
+            keep("lr", start, x, [trace], profile.r_hat)
         traces.append(trace)
-    lrisd_rank = keep("lrisd", start, x, traces, profile)
+    keep("lrisd", start, x, traces, profile.r_hat)
     if cfg.adjust is not None:
         start = time.perf_counter()
-        x, traces = _adjust_sweep(a, b, x, trace.rank, lrisd_rank, cfg, solver_cfg,
+        x, traces = _adjust_sweep(a, b, x, trace.rank, profile.r_hat, cfg, solver_cfg,
                                   score=lambda xc: trial.score(trial.finish(xc), truth))
-        keep("lrisd-adjust", start, x, traces)
+        keep("lrisd-adjust", start, x, traces, _recovered_rank(x, profile.kappa))
     return solved
 
 

@@ -421,33 +421,30 @@ def lrisd_stages(a: LinearMap, b, inner: str = "admm", sve_cfg: SveConfig | None
     before, starting from that stage's recovery: its first truncation pair
     and its first outer change are taken from it, as Iterative Support
     Detection starts each stage from the last one's solution. `profile` is
-    the estimate made on x; it is None for max_outer = 0, min(m, n) < 3 and
-    the last stage at the max_outer cap. The stages end when
-    sve_cfg.stability consecutive estimates agree or the first estimate is 0.
+    the estimate made on x, the last stage's included; it is None only for
+    min(m, n) < 3, where fewer than 3 singular values hold no jump to detect
+    and stage 0 is kept. The stages end at the sve_cfg.max_outer cap, when
+    sve_cfg.stability consecutive estimates agree, or when the first
+    estimate is 0 (an empty pair would reproduce stage 0 exactly).
     """
     sve_cfg = sve_cfg or SveConfig()
-    # fewer than 3 singular values hold no jump to detect: keep stage 0
-    max_outer = sve_cfg.max_outer if min(a.shape) >= 3 else 0
     kappa = sve_cfg.resolve_kappa(*a.shape)
     estimates: list[int] = []
     profile = x = None
-    for stage in range(max_outer + 1):
+    for stage in range(sve_cfg.max_outer + 1):
         try:
             x, trace = solve_with_rank(a, b, profile.r_hat if stage else 0, inner, cfg, x)
         except SolverDivergence as e:
             e.trace.stage = stage
             raise SolverDivergence(f"stage {stage}: {e}", e.trace) from e
         trace.stage, trace.sve = stage, profile
-        if stage == max_outer:
-            yield x, trace, None
-            return
-        profile = estimate_rank(np.linalg.svd(x, compute_uv=False), kappa)
+        profile = (estimate_rank(np.linalg.svd(x, compute_uv=False), kappa)
+                   if min(a.shape) >= 3 else None)
         yield x, trace, profile
-        estimates.append(profile.r_hat)
-        if estimates[-sve_cfg.stability:] == [profile.r_hat] * sve_cfg.stability:
+        estimates.append(profile.r_hat if profile else 0)  # None keeps stage 0, as 0 does
+        if (stage == sve_cfg.max_outer or estimates == [0]
+                or estimates[-sve_cfg.stability:] == estimates[-1:] * sve_cfg.stability):
             return
-        if stage == 0 and profile.r_hat == 0:
-            return  # an empty pair would reproduce stage 0 exactly
 
 
 def lrisd(a: LinearMap, b, inner: str = "admm", sve_cfg: SveConfig | None = None,

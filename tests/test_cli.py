@@ -188,6 +188,46 @@ class TestSettingsTable:
         assert f"config field '{name}': the {command} command does not read it" in results[0][1]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, given, name", [
+        ("sve-trace", {"kappa": 3.0, "kappa_mode": "real"}, "kappa_mode"),
+        ("sve-trace", {"kappa": 3.0, "kappa_s": 2.0}, "kappa_s"),
+        ("complete", {"operator": "mask", "mask_file": "m.txt", "sr": 0.3}, "sr"),
+        ("complete", {"keep_file": "k.txt", "sr": 0.3}, "sr"),
+        ("complete", {"keep_file": "k.txt", "keep_dc": True}, "keep_dc"),
+    ])
+    def test_replaced_setting_fails_alike_from_flag_and_file(self, tmp_path, capsys,
+                                                             command, given, name):
+        base = (["--image", "in.pgm"] if command == "complete"
+                else ["--m", "20", "--n", "20", "--rank", "2", "--sr", "0.6"])
+        config = tmp_path / "c.txt"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in given.items()))
+        flags = [arg for k, v in given.items() for arg in _argv_value(k, v)]
+        out = tmp_path / "o"
+        results = []
+        for args in (flags, ["--config", str(config)]):
+            code = main([command, *base, *args, "--out", str(out)])
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == 2
+        replacer = next(k for k in given if k != name and k != "operator")
+        assert f"config field '{name}': not read, as {replacer} replaces it" in results[0][1]
+        assert not out.exists()
+        # without the replaced setting, the same settings pass
+        others = [arg for k, v in given.items() if k != name for arg in _argv_value(k, v)]
+        _config_from_args(_parse_args([command, *base, *others])).validate()
+
+    @pytest.mark.parametrize("value", ["r#1", "nl\nseed = 9", "cr\rx", " lead", "trail\t"])
+    @pytest.mark.parametrize("name", ["image", "mask_file", "keep_file", "out"])
+    def test_value_config_txt_cannot_hold_fails_before_any_write(
+            self, tmp_path, monkeypatch, capsys, name, value):
+        monkeypatch.chdir(tmp_path)
+        operator = "mask" if name == "mask_file" else "dct"
+        code = main(["complete", "--image", "in.pgm", "--operator", operator,
+                     *_argv_value(name, value)])
+        assert code == 2
+        assert f"config field '{name}': config.txt cannot hold" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_help_names_the_commands_of_partial_settings(self, capsys):
         with pytest.raises(SystemExit):
             main(["compare", "--help"])
@@ -253,6 +293,22 @@ class TestConfigRoundTrips:
             if value is not None and value is not False:
                 argv += _argv_value(f.name, value)
         assert _config_from_args(_parse_args(argv)) == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(max_size=8))
+    @example(text="r#1")
+    @example(text="nl\nseed = 9")
+    def test_config_txt_reads_back_every_string_validate_accepts(self, tmp_path_factory,
+                                                                 text):
+        cfg = ExperimentConfig(command="compare", m=10, n=10, rank=1, out=text)
+        try:
+            cfg.validate()
+        except ValueError as e:
+            assert str(e).startswith("config field 'out': config.txt cannot hold")
+            return
+        path = tmp_path_factory.mktemp("rt") / "config.txt"
+        cfg.to_file(path)
+        assert ExperimentConfig.from_file(path) == cfg
 
 
 class TestSmallShapesAndAdjust:
@@ -607,10 +663,28 @@ class TestOneStageRunPerChannel:
         assert solves == [(12, 12)] * 3  # one per color channel
         assert [r["method"] for r in read_csv(out / "metrics.csv")] == ["lr", "lrisd"]
 
+    def test_max_outer_zero_estimates_each_channel_once(self, monkeypatch, tmp_path):
+        # lr and lrisd are the same stage 0, whose estimate the run makes
+        import tnnr.cli
+        import tnnr.solvers
+        calls, estimate = [], tnnr.solvers.estimate_rank
+
+        def counting(s, kappa):
+            calls.append(len(s))
+            return estimate(s, kappa)
+
+        for module in (tnnr.solvers, tnnr.cli):
+            monkeypatch.setattr(module, "estimate_rank", counting)
+        out = tmp_path / "o"
+        assert main(["compare", "--operator", "mask", "--m", "30", "--n", "24", "--rank", "2",
+                     "--sr", "0.6", "--std", "0.1", "--trials", "2", "--max-outer", "0",
+                     "--max-inner-iters", "300", "--out", str(out)]) == 0
+        assert calls == [24, 24]  # 2 trials x 1 channel
+
     @pytest.mark.parametrize("max_outer", [0, 1, None])
     def test_ranks_match_the_library_recoveries(self, tmp_path, max_outer):
-        # --max-outer 0 and 1 leave lrisd's last stage without an estimate
-        # (1: the cap ends the stages); the default ends on agreeing estimates
+        # --max-outer 0 and 1 end the stages at the cap, where the run's
+        # estimate gives lrisd's rank; the default ends on agreeing estimates
         out = tmp_path / "o"
         argv = ["compare", "--m", "30", "--n", "30", "--rank", "2", "--sr", "0.6",
                 "--std", "0.3", "--seed", "5", "--inner-tol", "1e-3",

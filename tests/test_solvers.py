@@ -514,16 +514,15 @@ class TestLrisd:
         assert stages[-1][0].tobytes() == x.tobytes()
         for (_, _, profile), (_, later, _) in zip(stages, stages[1:]):
             assert later.sve is profile and later.rank == profile.r_hat
-        # None exactly where no estimate is made: max_outer = 0 and the last
-        # stage at the cap; a run that stops on agreeing estimates made one
-        capped = len(stages) == max_outer + 1
-        assert capped == (max_outer < 10)
-        for i, (x_s, _, profile) in enumerate(stages):
-            if capped and i == len(stages) - 1:
-                assert profile is None
-            else:
-                spectrum = np.linalg.svd(x_s, compute_uv=False)
-                assert profile.r_hat == estimate_rank(spectrum, kappa).r_hat
+        # every stage carries the estimate made on its own recovery, also the
+        # last one at the max_outer cap (max_outer 0 and 1)
+        assert (len(stages) == max_outer + 1) == (max_outer < 10)
+        for x_s, _, profile in stages:
+            want = estimate_rank(np.linalg.svd(x_s, compute_uv=False), kappa)
+            assert (profile.kappa, profile.r_hat) == (want.kappa, want.r_hat)
+            for got, expected in zip((profile.S, profile.St, profile.Stt),
+                                     (want.S, want.St, want.Stt)):
+                assert np.array_equal(got, expected)
 
     def test_stage_context_on_divergence(self):
         class ScaledMask(SamplingMask):
