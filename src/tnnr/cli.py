@@ -145,8 +145,8 @@ class ExperimentConfig:
                                            or len(value.splitlines()) > 1):
                 fail(f.name, f"config.txt cannot hold '#', a line break or surrounding "
                      f"whitespace, got {value!r}")
-        # readers are checked once every chooser holds a valid value, so that a
-        # bad solver is named as such, not as a setting it does not read
+        # a given setting must be read: checked once every chooser holds a
+        # valid value, so that a bad solver is named as such
         for f in _SETTINGS:
             if getattr(self, f.name) == f.default:
                 continue
@@ -155,9 +155,7 @@ class ExperimentConfig:
                 if chosen not in users:
                     fail(f.name, f"the {chosen} {chooser} does not read it "
                          f"(read by {', '.join(users)})")
-        for f in _SETTINGS:
-            given = [r for r in f.metadata["replaced_by"] if getattr(self, r) is not None]
-            if given and getattr(self, f.name) != f.default:
+            if given := [r for r in f.metadata["replaced_by"] if getattr(self, r) is not None]:
                 fail(f.name, f"not read, as {given[0]} replaces it")
         if self.trials < 1:
             fail("trials", "must be >= 1")
@@ -183,10 +181,8 @@ class ExperimentConfig:
         # noisy synthetic run, sqrt(p) * std, else 0
         delta = (self.delta if self.delta is not None
                  else self.std * float(np.sqrt(spec.p)) if self.std > 0 else 0.0)
-        solver = _checked(SolverConfig, beta=self.beta, mu=self.mu, delta=delta,
-                          inner_tol=self.inner_tol, outer_tol=self.outer_tol,
-                          max_inner_iters=self.max_inner_iters,
-                          max_refit_iters=self.max_refit_iters)
+        solver = _checked(SolverConfig, **{f.name: getattr(self, f.name)
+                                           for f in fields(SolverConfig)} | {"delta": delta})
         mode = "explicit" if self.kappa is not None else self.kappa_mode
         sve = _checked(SveConfig, kappa_mode=mode, kappa=self.kappa, s=self.kappa_s,
                        max_outer=self.max_outer, stability=self.stability)
@@ -373,19 +369,16 @@ def _methods(cfg: ExperimentConfig) -> list[str]:
 
 
 def _solve_channel(plan: _Plan, trial: _Trial, channel: int) -> dict:
-    """The command's methods on one channel of `trial`: lr is stage 0 and
-    lrisd the last stage of one `lrisd_stages` run, each with the rank that
-    run estimated on it, and lrisd-adjust sweeps the ranks around lrisd's.
+    """Every method on one channel of `trial`: lr is stage 0 and lrisd the
+    last stage of one `lrisd_stages` run, each with the rank that run
+    estimated on it, and lrisd-adjust sweeps the ranks around lrisd's.
     Returns, per method, its (finished x, rank, traces, seconds)."""
     cfg, solver_cfg = plan.cfg, plan.solver
     a, (b, truth) = trial.a, trial.channels[channel]
-    methods = _methods(cfg)
     solved = {}
 
     def keep(method, start, x, traces, rank):
-        """Record the result of a method the command reports."""
-        if method in methods:
-            solved[method] = (trial.finish(x), rank, traces, time.perf_counter() - start)
+        solved[method] = (trial.finish(x), rank, traces, time.perf_counter() - start)
 
     start = time.perf_counter()
     traces = []
@@ -410,6 +403,7 @@ def _trial_rows(plan: _Plan, trial: _Trial, solved: list[dict]):
     m, n = trial.a.shape
     kappa = plan.sve.resolve_kappa(m, n)
     penalized = cfg.solver == "apgl"
+    truths = [truth for _, truth in trial.channels]
     metrics, trace_rows, sve_rows, timings = [], [], [], []
     for method in _methods(cfg):
         xs, ranks, runs, seconds = zip(*(channel[method] for channel in solved))
@@ -418,13 +412,15 @@ def _trial_rows(plan: _Plan, trial: _Trial, solved: list[dict]):
         sve_rows.extend(_sve_rows(trial.seed, method, traces))
         metrics.append(_metrics_row(
             experiment=cfg.command, seed=trial.seed, method=method, operator=cfg.operator,
-            solver=cfg.solver, m=m, n=n, true_r=cfg.rank, sr=cfg.sr, std=cfg.std,
-            kappa=kappa,
+            solver=cfg.solver, m=m, n=n, true_r=cfg.rank, sr=trial.a.p / (m * n),
+            std=cfg.std, kappa=kappa,
             # only the setting the solver reads: mu for apgl, delta for the others
-            delta=None if penalized else solver_cfg.delta, mu=cfg.mu if penalized else None,
+            delta=None if penalized else solver_cfg.delta,
+            mu=solver_cfg.mu if penalized else None,
             rank_recovered=int(np.median(ranks)), stages=max(map(len, runs)),
             inner_iters=sum(t.total_inner_iters for t in traces),
-            reer=relative_error(xs, [truth for _, truth in trial.channels])))
+            # the relative error of an all-zero truth (a black image) is undefined
+            reer=relative_error(xs, truths) if any(map(np.any, truths)) else None))
         timings.append((cfg.command, trial.seed, method, sum(seconds)))
         if trial.write is not None:
             trial.write(metrics[-1], xs)

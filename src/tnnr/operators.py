@@ -8,6 +8,7 @@ closed-form projection onto {X : ||A(X) - b|| <= delta} used by the solvers.
 `OPERATORS` names the kinds.
 """
 
+import math
 from functools import partial
 
 import numpy as np
@@ -31,6 +32,14 @@ def _as_measurement(y, p: int) -> np.ndarray:
     if not np.isfinite(y).all():
         raise ValueError("measurement entries must be finite")
     return y
+
+
+def _norm(v) -> float:
+    """np.linalg.norm(v), taken on v scaled by the power of two that brings
+    its largest entry into [1/2, 1), so that its squares neither overflow nor
+    underflow: bit for bit np.linalg.norm(v) wherever that does neither."""
+    e = math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
 
 
 class LinearMap:
@@ -209,7 +218,7 @@ def project_ball(a: LinearMap, y, b, delta: float) -> np.ndarray:
     resid = b - a.apply(y)
     if delta == 0:
         return y + a.adjoint(resid)
-    eta = max(float(np.linalg.norm(resid)) / delta - 1.0, 0.0)
+    eta = max(_norm(resid) / delta - 1.0, 0.0)
     if eta == 0:
         return y
     return y + (eta / (eta + 1.0)) * a.adjoint(resid)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import TruncationPair, _shrink_factors, nuclear_norm, truncation_pair
-from .operators import LinearMap, _as_measurement, project_ball
+from .operators import LinearMap, _as_measurement, _norm, project_ball
 from .sve import SveConfig, SveProfile, estimate_rank
 
 __all__ = [
@@ -168,7 +168,7 @@ def _normalized(a: LinearMap, b, cfg: SolverConfig) -> tuple[float, np.ndarray, 
     units of b/c: delta/c, and mu*c, which keeps the penalized model's
     minimizer at X/c. beta is set in these units already."""
     b = _as_measurement(b, a.p)
-    c = float(np.linalg.norm(b)) / math.sqrt(a.p) or 1.0
+    c = _norm(b) / math.sqrt(a.p) or 1.0
     return c, b / c, replace(cfg, delta=cfg.delta / c, mu=cfg.mu * c)
 
 
@@ -395,7 +395,7 @@ def solve_with_rank(a: LinearMap, b, r: int, inner: str = "admm",
     b = _as_measurement(b, a.p)
     if r == 0:
         return _run_inner(inner, a, b, TruncationPair.empty(*a.shape), cfg)
-    denom = float(b @ b) or 1.0
+    b_norm = _norm(b) or 1.0
     stage_trace = StageTrace(rank=int(r))
     x_l = a.adjoint(b) if x0 is None else a._check_domain(x0)
     carry = {}
@@ -403,7 +403,7 @@ def solve_with_rank(a: LinearMap, b, r: int, inner: str = "admm",
         pair = truncation_pair(x_l, r)
         x_next, t = _run_inner(inner, a, b, pair, cfg, carry)
         stage_trace.absorb(t, l)
-        change = float(np.linalg.norm(x_next - x_l, "fro") ** 2) / denom
+        change = (_norm(x_next - x_l) / b_norm) ** 2
         stage_trace.l_change.append(change)
         x_l = x_next
         if change <= cfg.outer_tol:

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import sys
 from dataclasses import fields
 
@@ -95,6 +96,38 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="delta"):
             ExperimentConfig(command="compare", m=10, n=10, rank=1,
                              solver="apgl", delta=0.5).validate()
+
+    @pytest.mark.parametrize("given, message", [
+        ({"trials": 0}, "config field 'trials': must be >= 1"),
+        ({"adjust": -1}, "config field 'adjust': window must be >= 0"),
+        ({"command": "fit"}, "config field 'command': must be one of"),
+    ])
+    def test_validate_rejection_names_its_error(self, given, message):
+        cfg = ExperimentConfig(**{"command": "compare", "m": 10, "n": 10, "rank": 1, **given})
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "config file .*missing.txt: "),
+        ("seed 3\n", "config file .*c.txt line 1: expected 'key = value'"),
+        ("keep_dc = maybe\n",
+         "config file .*c.txt line 1, field 'keep_dc': expected a boolean, got 'maybe'"),
+    ])
+    def test_config_file_rejection_names_its_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / ("missing.txt" if text is None else "c.txt")
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
+        assert re.search("error: " + message, capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_defaults_are_the_library_defaults(self):
+        # the settings that restate a library default agree with it
+        plan = ExperimentConfig(command="compare", m=12, n=12, rank=2).validate()
+        assert plan.solver == SolverConfig()
+        assert plan.sve == SveConfig()
+        assert plan.spec.std == next(f.default for f in fields(SyntheticSpec) if f.name == "std")
 
 
 def _unread(command):
@@ -215,6 +248,15 @@ class TestSettingsTable:
         # without the replaced setting, the same settings pass
         others = [arg for k, v in given.items() if k != name for arg in _argv_value(k, v)]
         _config_from_args(_parse_args([command, *base, *others])).validate()
+
+    def test_first_unread_setting_in_field_order_is_named(self, capsys):
+        # kappa_mode, replaced by kappa, comes before adjust, which sve-trace
+        # does not read
+        code = main(["sve-trace", "--m", "10", "--n", "10", "--rank", "1", "--kappa", "3",
+                     "--adjust", "1", "--kappa-mode", "real"])
+        assert code == 2
+        assert "config field 'kappa_mode': not read, as kappa replaces it" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["r#1", "nl\nseed = 9", "cr\rx", " lead", "trail\t"])
     @pytest.mark.parametrize("name", ["image", "mask_file", "keep_file", "out"])
@@ -541,6 +583,14 @@ class TestSolverSettingsOutsideTheirUse:
                 assert float(row["delta"]) == pytest.approx(0.1 * np.sqrt(101))
                 assert row["mu"] == ""
 
+    def test_sr_is_the_ratio_sampled(self, tmp_path):
+        # 0.43 of 10 x 7 entries rounds to 30 measurements, 30/70
+        out = tmp_path / "o"
+        assert main(["compare", "--operator", "mask", "--m", "10", "--n", "7", "--rank", "1",
+                     "--sr", "0.43", "--std", "0.1", "--max-inner-iters", "50",
+                     "--out", str(out)]) == 0
+        assert [r["sr"] for r in read_csv(out / "metrics.csv")] == [repr(30 / 70)] * 2
+
     @pytest.mark.parametrize("via_file", [False, True])
     def test_apgl_rejects_a_ball_radius(self, tmp_path, capsys, via_file):
         config = tmp_path / "c.txt"
@@ -812,6 +862,20 @@ class TestCompleteCommand:
         assert run(cfg) == 0
         saved = SamplingMask.from_file(out / "operator.txt")
         assert np.array_equal(saved.rows, mask.rows)
+        # sr is the ratio the file samples, 154 of 256 pixels
+        assert [r["sr"] for r in read_csv(out / "metrics.csv")] == ["0.6015625"] * 2
+
+    @pytest.mark.parametrize("name, operator", [("black.ppm", "mask"), ("black.pgm", "dct")])
+    def test_black_image_leaves_reer_empty(self, tmp_path, name, operator):
+        # the relative error of an all-zero truth is undefined; PSNR is capped
+        image = tmp_path / name
+        save_image([np.zeros((8, 8))] * (3 if name.endswith("ppm") else 1), image)
+        out = tmp_path / "o"
+        assert main(["complete", "--image", str(image), "--operator", operator,
+                     "--out", str(out)]) == 0
+        rows = read_csv(out / "metrics.csv")
+        assert [(r["reer"], r["psnr_db"]) for r in rows] == [("", "99.0")] * 2
+        assert main(["plot-data", str(out / "metrics.csv"), "--out", str(tmp_path / "p")]) == 0
 
     def test_missing_image_errors(self, tmp_path, capsys):
         code = main(["complete", "--image", str(tmp_path / "nope.ppm"),

@@ -141,6 +141,14 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(np.zeros((3, 3)), np.zeros((4, 4)))
 
+    def test_channels_of_unequal_shape(self):
+        with pytest.raises(ValueError, match="channels must be 2-D matrices of equal shape"):
+            psnr([np.zeros((3, 3)), np.zeros((3, 4)), np.zeros((3, 3))], [np.zeros((3, 3))] * 3)
+
+    def test_evaluation_mask_of_another_shape(self):
+        with pytest.raises(ValueError, match="evaluation mask shape must match the image"):
+            psnr(np.zeros((3, 3)), np.zeros((3, 3)), np.ones((3, 4), bool))
+
 
 class TestRelativeError:
     def test_exact(self):
@@ -225,6 +233,17 @@ class TestImageIO:
         path = tmp_path / "ascii.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
         with pytest.raises(ValueError, match="magic"):
+            load_image(path)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"P5\n4 4", "truncated header"),
+        (b"P5\n2 2\n255", "missing raster separator"),
+        (b"P5\n2 2\n255#\n" + bytes(4), "missing raster separator"),
+    ])
+    def test_malformed_header_rejected(self, tmp_path, blob, message):
+        path = tmp_path / "cut.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"bad image file .*cut.pgm: {message}"):
             load_image(path)
 
     def test_truncated_raster_rejected(self, tmp_path):

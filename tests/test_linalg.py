@@ -75,6 +75,11 @@ class TestShrink:
         with pytest.raises(ValueError):
             shrink(np.eye(3), -0.1)
 
+    @pytest.mark.parametrize("x", [np.ones(3), np.empty((0, 3))])
+    def test_non_matrix_rejected(self, x):
+        with pytest.raises(ValueError, match="expected a nonempty 2-D matrix"):
+            shrink(x, 0.1)
+
     def test_large_tau_exact_zero(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((4, 4))

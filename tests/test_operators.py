@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import fft
 
-from tnnr.operators import PartialDct2D, SamplingMask, project_ball
+from tnnr.operators import LinearMap, PartialDct2D, SamplingMask, _norm, project_ball
 
 from helpers import inverse_identity_check
 
@@ -330,3 +330,33 @@ class TestDegenerateShapes:
         delta = frac * float(np.linalg.norm(op.apply(y) - b))
         out = project_ball(op, y, b, delta)
         assert np.linalg.norm(op.apply(out) - b) <= delta * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LinearMap.random(4, 4, 0.0, 0), "sample_ratio must be in"),
+    (lambda: LinearMap.random(4, 4, 1.5, 0), "sample_ratio must be in"),
+    (lambda: LinearMap(4, 4, [0, 1]).adjoint([1.0, np.inf]), "must be finite"),
+    (lambda: LinearMap(0, 4, [0]), r"invalid domain shape \(0, 4\)"),
+    (lambda: LinearMap(4, 4, [[0, 1]]), "indices must be a 1-D array"),
+    (lambda: SamplingMask(4, 4, [0, 1], [0]), "rows and cols must be 1-D arrays"),
+    (lambda: SamplingMask(4, 4, [0], [4]), "mask indices out of range"),
+])
+def test_rejections_name_their_error(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+class TestNorm:
+    """_norm is np.linalg.norm wherever that neither overflows nor
+    underflows, and finite and scaled alike where it would."""
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 4)])
+    def test_bit_for_bit_in_range(self, shape):
+        v = np.random.default_rng(0).standard_normal(shape) * 37.0
+        assert _norm(v) == float(np.linalg.norm(v))
+        assert _norm(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("scale", [2.0 ** -1000, 1e-170, 1e170, 2.0 ** 1000])
+    def test_scales_with_its_vector(self, scale):
+        v = np.random.default_rng(1).standard_normal(9)
+        assert _norm(scale * v) == pytest.approx(scale * float(np.linalg.norm(v)), rel=1e-15)

@@ -115,3 +115,14 @@ class TestSveConfig:
         assert SveConfig(kappa_mode="explicit", kappa=7.0).resolve_kappa(10, 10) == 7.0
         assert SveConfig(kappa_mode="synthetic").resolve_kappa(300, 300) == pytest.approx(10.0)
         assert SveConfig(kappa_mode="real", s=2.0).resolve_kappa(300, 300) == pytest.approx(50.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: estimate_rank([3.0, np.nan, 1.0], 0.5), "spectrum entries must be finite"),
+    (lambda: estimate_rank([3.0, 2.0, -1.0], 0.5), "singular values must be nonnegative"),
+    (lambda: default_kappa(0, 5, 1.0, "real"), r"invalid dimensions \(0, 5\)"),
+    (lambda: SveConfig(kappa_mode="x"), "kappa_mode must be explicit, real or synthetic"),
+])
+def test_rejections_name_their_error(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
