@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import _norm
+
 __all__ = ["MetricsReport", "psnr", "relative_error"]
 
 PSNR_CAP_DB = 99.0
@@ -74,10 +76,11 @@ def relative_error(x_re, x_star) -> float:
     x_re/x_star are single matrices or equal-length channel sequences; the
     norms of a sequence run over all its channels, as if they stood side by
     side, without building that stack. A single matrix gives exactly the
-    quotient of its two Frobenius norms.
+    quotient of its two Frobenius norms. The norms are taken at the data's
+    scale (`_norm`), so that data near 1e154 and above does not overflow.
     """
     rec, true = _paired(x_re, x_star)
-    denom = math.hypot(*(float(np.linalg.norm(t)) for t in true))
+    denom = math.hypot(*(_norm(t) for t in true))
     if denom == 0:
         raise ValueError("reference matrix is zero")
-    return math.hypot(*(float(np.linalg.norm(r - t)) for r, t in zip(rec, true))) / denom
+    return math.hypot(*(_norm(r - t) for r, t in zip(rec, true))) / denom

@@ -5,7 +5,8 @@ of the m x n grid (the identity for an entry sampling mask, the orthonormal
 2-D DCT for a partial DCT) read at p distinct slots Omega. T is orthonormal
 and the slots are distinct, so A A* = I on measurement space, which gives the
 closed-form projection onto {X : ||A(X) - b|| <= delta} used by the solvers.
-`OPERATORS` names the kinds.
+Each operator also holds P_Omega alone (`sampling`), on which the solvers'
+inner loops run. `OPERATORS` names the kinds.
 """
 
 import math
@@ -48,7 +49,13 @@ class LinearMap:
     `slots` holds the p distinct flat (row-major) indices of the entries of
     T(X) that are measured, in measurement order. They are fixed at
     construction, so reruns measure bit-identically. T is the identity here;
-    a subclass may set another orthonormal `transform` and its `inverse`.
+    a subclass may set another `transform` and its `inverse`, which must
+    have the form X -> U X V^T with U and V orthogonal. Such a T keeps the
+    singular values, so the nuclear norm, its shrinkage and the trace term
+    Tr(L X R^T) = <T(L^T R), T(X)> read the same on T(X): a solve on A is a
+    completion solve on `sampling`, P_Omega alone, run on the coefficients
+    T(X). (A T that only permutes entries would keep A A* = I, but not the
+    singular values.)
     A subclass also names its index-file lines (`columns`, the constructor's
     index arrays, one line per measurement) and the file in errors
     (`file_kind`); a kind in `OPERATORS` names the random stream of its
@@ -74,6 +81,17 @@ class LinearMap:
         self.shape = (int(m), int(n))
         self.p = slots.size
         self.slots = slots
+        if not isinstance(self, SamplingMask):
+            # built once, on the slots checked above, and never re-checked;
+            # read-only after this, so pool threads may share it
+            self._sampling = object.__new__(SamplingMask)
+            vars(self._sampling).update(shape=self.shape, p=self.p, slots=slots)
+
+    @property
+    def sampling(self) -> "SamplingMask":
+        """P_Omega alone: the SamplingMask on these slots, the same object on
+        every access, and the operator itself for a mask."""
+        return self._sampling
 
     @classmethod
     def _from_slots(cls, m: int, n: int, slots) -> "LinearMap":
@@ -117,10 +135,13 @@ class LinearMap:
             raise ValueError(f"bad {cls.file_kind} file {path}: {e}") from e
 
     def to_file(self, path) -> None:
-        """Write the format `from_file` reads."""
+        """Write the format `from_file` reads: the bytes of np.savetxt with
+        fmt '%d', made by one %-format over the flattened index lines."""
+        line = " ".join(["%d"] * len(self.columns)) + "\n"
+        idx = np.column_stack([getattr(self, c) for c in self.columns])
         with open(path, "w") as f:
             f.write(f"{self.shape[0]} {self.shape[1]} {self.p}\n")
-            np.savetxt(f, np.column_stack([getattr(self, c) for c in self.columns]), fmt="%d")
+            f.write(line * self.p % tuple(idx.ravel().tolist()))
 
     def _check_domain(self, x) -> np.ndarray:
         x = as_matrix(x)
@@ -173,6 +194,10 @@ class SamplingMask(LinearMap):
     @classmethod
     def _from_slots(cls, m: int, n: int, slots) -> "SamplingMask":
         return cls(m, n, *np.divmod(slots, n))
+
+    @property
+    def sampling(self) -> "SamplingMask":
+        return self
 
     @property
     def rows(self) -> np.ndarray:

@@ -177,10 +177,14 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
     """The iteration loop the three inner solvers share.
 
     Every solve runs on the normalized data of `_normalized`, so that one
-    penalty and the divergence guard's floor suit data of any scale; it
-    returns c times the last X and records the trace in the units of b.
-    `steps(a, b, g, x0, cfg, start)` is a solver's step generator, run on b/c
-    with g = L^T R. With start None it starts at x0 = A*(b/c): it starts its
+    penalty and the divergence guard's floor suit data of any scale. It runs
+    on P_Omega alone (`a.sampling`), in the coefficients T(X) of
+    A = P_Omega T: T keeps the model (see `LinearMap`), so T is applied once
+    as the solve starts, to L^T R, and T^-1 once as it ends. It returns c
+    times T^-1 of the last X and records the trace in the units of b.
+    `steps(a, b, g, x0, cfg, start)` is a solver's step generator, run with
+    a = P_Omega on b/c and g = T(L^T R). With start None it starts at
+    x0 = P_Omega*(b/c): it starts its
     other iterates from copies of x0 and drops x0 itself once it has no
     further use for it, so that x0 is not held for the whole solve. (Sharing
     x0 would be as correct, but the changed heap layout made glibc trim and
@@ -196,26 +200,28 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
 
     `carry`, when given, hands one solve's end to the next solve on the same
     b (the refits of `solve_with_rank`). A solve leaves its last X and the
-    dict of its last iterates there, in the units of b/c, which do not change
-    between solves on one b. A solve given a nonempty carry starts from them
-    instead of A*(b/c): x0 is the last X, from which the first X-change is
+    dict of its last iterates there, in the units of b/c and in the
+    coefficients T(X), neither of which changes between solves on one b and
+    one A. A solve given a nonempty carry starts from them instead of
+    P_Omega*(b/c): x0 is the last X, from which the first X-change is
     taken, and `start` holds the iterates. The carry is emptied as the solve
     starts, so that the old iterates die as the new ones replace them.
     """
     c, b, cfg = _normalized(a, b, cfg)
+    sampling = a.sampling
     start = dict(carry) if carry else None
-    x = start.pop("X") if start else a.adjoint(b)
+    x = start.pop("X") if start else sampling.adjoint(b)
     if carry:
         carry.clear()
-    g = pair.correction()
+    g = a.transform(pair.correction())
     denom = float(b @ b) or 1.0
     trace = StageTrace(rank=pair.r)
     obj_ref = None
-    iterations = zip(range(1, cfg.max_inner_iters + 1), steps(a, b, g, x, cfg, start))
+    iterations = zip(range(1, cfg.max_inner_iters + 1), steps(sampling, b, g, x, cfg, start))
     del start
     for k, (x_new, s_shrunk, gap, beta, state) in iterations:
         obj = float(s_shrunk.sum() - np.vdot(x_new, g))
-        resid = float(np.linalg.norm(a.apply(x_new) - b))
+        resid = float(np.linalg.norm(sampling.apply(x_new) - b))
         trace.record(1, k, c * obj, c * resid, beta / c)
         if obj_ref is None:
             obj_ref = obj
@@ -228,7 +234,7 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
     trace.inner_iters.append(trace.total_inner_iters)
     if carry is not None:
         carry.update(state, X=x)
-    return c * x, trace
+    return c * a.inverse(x), trace
 
 
 def _admm_steps(a, b, g, x, cfg, start=None):

@@ -180,6 +180,17 @@ class TestRelativeError:
         with pytest.raises(ValueError, match="shape mismatch"):
             relative_error(recs, truths[:1])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale, step", [(1e300, 1e290), (1e-300, 1e-310)])
+    def test_data_of_extreme_scale(self, scale, step):
+        # the squares of 1e300 overflow, those of 1e-300 underflow; the sum
+        # scale + step is rounded to the spacing of scale, so the exact answer
+        # is |y - x| / |y| for the y that holds it (y - x is exact)
+        x, y = scale * np.ones((2, 2)), scale * np.ones((2, 2)) + step
+        got = relative_error(x, y)
+        assert got == pytest.approx((y - x)[0, 0] / y[0, 0], rel=1e-15)
+        assert got == pytest.approx(step / (scale + step), rel=1e-5)
+
     def test_monotone_in_error_and_permutation_invariant(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((6, 6))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import fft
 
-from tnnr.operators import LinearMap, PartialDct2D, SamplingMask, _norm, project_ball
+from tnnr.operators import OPERATORS, LinearMap, PartialDct2D, SamplingMask, _norm, project_ball
 
 from helpers import inverse_identity_check
 
@@ -105,6 +105,16 @@ class TestIndexFiles:
         x = np.arange(6.0).reshape(2, 3)
         assert loaded.shape == op.shape
         assert np.array_equal(loaded.apply(x), op.apply(x))
+
+    @pytest.mark.parametrize("op", [SamplingMask.random(128, 128, 0.5, 0),
+                                    PartialDct2D.random(30, 20, 0.3, 1, keep_dc=True),
+                                    PartialDct2D(1, 1, [0])])
+    def test_bytes_are_savetxt_bytes(self, tmp_path, op):
+        op.to_file(tmp_path / "op.txt")
+        with open(tmp_path / "ref.txt", "w") as f:
+            f.write(f"{op.shape[0]} {op.shape[1]} {op.p}\n")
+            np.savetxt(f, np.column_stack([getattr(op, c) for c in op.columns]), fmt="%d")
+        assert (tmp_path / "op.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
     def test_comments_and_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "op.txt"
@@ -360,3 +370,42 @@ class TestNorm:
     def test_scales_with_its_vector(self, scale):
         v = np.random.default_rng(1).standard_normal(9)
         assert _norm(scale * v) == pytest.approx(scale * float(np.linalg.norm(v)), rel=1e-15)
+
+
+def _singular_values_kept(transform, x) -> bool:
+    s = np.linalg.svd(x, compute_uv=False)
+    return np.allclose(np.linalg.svd(transform(x), compute_uv=False), s, rtol=0, atol=1e-12 * s[0])
+
+
+@pytest.mark.parametrize("kind", list(OPERATORS))
+class TestSamplingDomainContract:
+    """The solvers run every inner solve on P_Omega alone, in the
+    coefficients T(X): that is the same solve only for a T of the form
+    X -> U X V^T with U and V orthogonal, which keeps the singular values.
+    A T that permutes entries keeps A A* = I and the tight-frame identities,
+    but fails this check, and would break the sampling-domain solve."""
+
+    @pytest.mark.parametrize("shape", [(7, 5), (12, 12)])
+    def test_transform_keeps_singular_values_and_inverts(self, kind, shape):
+        op = OPERATORS[kind].random(*shape, 0.5, 47)
+        x = np.random.default_rng(6).standard_normal(shape)
+        assert _singular_values_kept(op.transform, x)
+        assert np.allclose(op.inverse(op.transform(x)), x, rtol=0, atol=1e-12)
+
+    def test_sampling_is_the_mask_on_the_same_slots(self, kind):
+        op = OPERATORS[kind].random(9, 7, 0.5, 48)
+        assert isinstance(op.sampling, SamplingMask)
+        assert np.array_equal(op.sampling.slots, op.slots)
+        assert op.sampling.shape == op.shape and op.sampling.p == op.p
+        assert op.sampling is op.sampling
+        assert (op.sampling is op) == (kind == "mask")
+        x = np.random.default_rng(7).standard_normal((9, 7))
+        assert np.array_equal(op.sampling.apply(op.transform(x)), op.apply(x))
+
+
+def test_an_entry_permutation_fails_the_contract():
+    # the check above tells such a T apart: it keeps the Frobenius norm,
+    # and with it A A* = I, but not the singular values
+    x = np.random.default_rng(8).standard_normal((7, 5))
+    order = np.random.default_rng(9).permutation(35)
+    assert not _singular_values_kept(lambda v: v.ravel()[order].reshape(v.shape), x)

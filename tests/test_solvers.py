@@ -10,7 +10,7 @@ from tnnr import linalg, solvers
 from tnnr.data import SyntheticSpec, random_operator, synth_lowrank
 from tnnr.linalg import TruncationPair, nuclear_norm, shrink, truncated_nuclear_norm, truncation_pair
 from tnnr.metrics import relative_error
-from tnnr.operators import SamplingMask, project_ball
+from tnnr.operators import PartialDct2D, SamplingMask, project_ball
 from tnnr.solvers import (
     ADMMAP_BETA0,
     ALPHA,
@@ -53,8 +53,21 @@ def instance(m, n, r, sr, std, seed, kind="mask"):
 
 
 def steps_of(name, a, b, pair, cfg):
-    """A solver's step generator, started as the solver starts it: on the
-    normalized data b/c, with delta and mu in its units."""
+    """A solver's step generator, started as `_iterate` starts it: on
+    P_Omega (`a.sampling`) and the normalized data b/c, with delta and mu in
+    its units and g = T(L^T R); each yielded X is mapped back by T^-1. The
+    other iterates stay in the coefficients T(X)."""
+    _, b, cfg = _normalized(a, b, cfg)
+    sampling = a.sampling
+    steps = SOLVERS[name][1](sampling, b, a.transform(pair.correction()),
+                             sampling.adjoint(b), cfg)
+    for x, *rest in steps:
+        yield (a.inverse(x), *rest)
+
+
+def steps_on_operator(name, a, b, pair, cfg):
+    """The reference start: the step generator driven on A itself, with a T
+    and a T^-1 inside every apply and adjoint, on b/c with g = L^T R."""
     _, b, cfg = _normalized(a, b, cfg)
     return SOLVERS[name][1](a, b, pair.correction(), a.adjoint(b), cfg)
 
@@ -62,10 +75,12 @@ def steps_of(name, a, b, pair, cfg):
 def iterates(name, a, b, pair, cfg):
     """Solve, then drive the solver's step generator for as many iterations
     as the solve ran. Returns x, the trace and one dict per iteration with
-    the yielded X, penalty and iterates."""
+    the yielded X, penalty and iterates, its m x n iterates mapped back by
+    T^-1 as X is."""
     x, trace = SOLVERS[name][0](a, b, pair, cfg)
     steps = itertools.islice(steps_of(name, a, b, pair, cfg), len(trace.k))
-    return x, trace, [dict(state, X=x_k, beta=beta) for x_k, _, _, beta, state in steps]
+    return x, trace, [{key: a.inverse(v) if np.ndim(v) == 2 else v for key, v in state.items()}
+                      | {"X": x_k, "beta": beta} for x_k, _, _, beta, state in steps]
 
 
 def admmap_iterates(a, b, pair, cfg):
@@ -439,6 +454,50 @@ class TestStepGenerators:
         for _ in range(5):
             next(steps)
         assert alive() is None
+
+    @pytest.mark.parametrize("name", ["admm", "apgl", "admmap"])
+    @pytest.mark.parametrize("std", [0.0, 0.3])
+    def test_sampling_path_follows_the_operator_path(self, name, std):
+        # the loop on P_Omega in the DCT coefficients takes, iteration by
+        # iteration, the steps the loop on A = P_Omega T takes on the matrix
+        x_star, a, b = instance(30, 30, 2, 0.5, std, 9, kind="dct")
+        pair = truncation_pair(a.adjoint(b), 2)
+        cfg = SolverConfig(delta=std * np.sqrt(a.p))  # apgl reads mu, not delta
+        sampled = steps_of(name, a, b, pair, cfg)
+        direct = steps_on_operator(name, a, b, pair, cfg)
+
+        def close(got, ref):
+            return np.linalg.norm(np.subtract(got, ref)) <= 1e-10 * np.linalg.norm(ref)
+
+        for k, (got, ref) in enumerate(itertools.islice(zip(sampled, direct), 15), 1):
+            (x, s, gap, beta, state), (x_ref, s_ref, gap_ref, beta_ref, state_ref) = got, ref
+            assert close(x, x_ref) and close(s, s_ref), f"iteration {k}"
+            assert close(gap, gap_ref) and beta == beta_ref, f"iteration {k}"
+            for key, v in state.items():
+                v = a.inverse(v) if np.ndim(v) == 2 else v
+                assert close(v, state_ref[key]), f"iteration {k}, {key}"
+
+    @pytest.mark.parametrize("name", ["admm", "apgl", "admmap"])
+    def test_transforms_per_solve_do_not_grow_with_iterations(self, name, monkeypatch):
+        # one T of L^T R and one T^-1 of the result; admm and admmap add the
+        # final ball projection's pair, always run at delta = 0
+        x_star, a, b = instance(20, 20, 2, 0.5, 0.0, 3, kind="dct")
+        pair = truncation_pair(x_star, 2)
+        calls = []
+
+        def counted(f):
+            return staticmethod(lambda x: calls.append(f) or f(x))
+
+        for attr in ("transform", "inverse"):
+            monkeypatch.setattr(PartialDct2D, attr, counted(getattr(PartialDct2D, attr)))
+        counts = []
+        for cap in (5, 50):
+            calls.clear()
+            cfg = SolverConfig(inner_tol=1e-30, max_inner_iters=cap)
+            _, trace = SOLVERS[name][0](a, b, pair, cfg)
+            assert len(trace.k) == cap
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == (2 if name == "apgl" else 4)
 
 
 class TestSubsetEigensolverRoute:
