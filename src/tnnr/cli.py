@@ -159,6 +159,8 @@ class ExperimentConfig:
                 fail(f.name, f"not read, as {given[0]} replaces it")
         if self.trials < 1:
             fail("trials", "must be >= 1")
+        if self.seed < 0:
+            fail("seed", "must be >= 0")
         if self.adjust is not None and self.adjust < 0:
             fail("adjust", "window must be >= 0")
         spec = None

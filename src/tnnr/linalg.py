@@ -4,6 +4,7 @@ lookup of functions in the OpenBLAS that numpy.linalg loaded."""
 
 import ctypes
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,7 +184,7 @@ def nuclear_norm(x) -> float:
 
 def _check_rank_arg(x: np.ndarray, r: int) -> int:
     q = min(x.shape)
-    r = int(r)
+    r = operator.index(r)  # a TypeError for 1.9, where int() would give 1
     if not 0 <= r <= q:
         raise ValueError(f"rank r={r} out of range [0, {q}] for shape {x.shape}")
     return r

@@ -5,8 +5,8 @@ of the m x n grid (the identity for an entry sampling mask, the orthonormal
 2-D DCT for a partial DCT) read at p distinct slots Omega. T is orthonormal
 and the slots are distinct, so A A* = I on measurement space, which gives the
 closed-form projection onto {X : ||A(X) - b|| <= delta} used by the solvers.
-Each operator also holds P_Omega alone (`sampling`), on which the solvers'
-inner loops run. `OPERATORS` names the kinds.
+Each operator also holds P_Omega alone (`sampling`), on which
+`solvers.solve_with_rank` runs each stage. `OPERATORS` names the kinds.
 """
 
 import math
@@ -54,8 +54,10 @@ class LinearMap:
     singular values, so the nuclear norm, its shrinkage and the trace term
     Tr(L X R^T) = <T(L^T R), T(X)> read the same on T(X): a solve on A is a
     completion solve on `sampling`, P_Omega alone, run on the coefficients
-    T(X). (A T that only permutes entries would keep A A* = I, but not the
-    singular values.)
+    T(X). `solvers.solve_with_rank` runs each stage so, with T applied once
+    as it starts and T^-1 once as it returns; an inner solver called on A
+    directly applies T or T^-1 in every `apply` and `adjoint`. (A T that
+    only permutes entries would keep A A* = I, but not the singular values.)
     A subclass also names its index-file lines (`columns`, the constructor's
     index arrays, one line per measurement) and the file in errors
     (`file_kind`); a kind in `OPERATORS` names the random stream of its

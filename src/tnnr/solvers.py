@@ -10,7 +10,9 @@ the divergence guard, the stop test and the iteration cap. The generator
 `lrisd_stages` alternates rank estimation on the current recovery with inner
 solves, one stage at a time, until the estimate stabilizes; `lrisd` runs it.
 Each stage starts from the last stage's recovery, and each refit's inner
-solve from the last refit's iterates.
+solve from the last refit's iterates. `solve_with_rank` alone moves a stage
+into the coefficients of the operator's transform T and back; a `tnnr_*`
+call on a `PartialDct2D` itself applies T in every iteration.
 """
 
 import math
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import TruncationPair, _shrink_factors, nuclear_norm, truncation_pair
+from .linalg import TruncationPair, _check_rank_arg, _shrink_factors, nuclear_norm, truncation_pair
 from .operators import LinearMap, _as_measurement, _norm, project_ball
 from .sve import SveConfig, SveProfile, estimate_rank
 
@@ -85,12 +87,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.beta is not None and not 0 < self.beta <= BETA_MAX:
             raise ValueError(f"beta must lie in (0, {BETA_MAX:g}], got {self.beta}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if not self.delta >= 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
-        if not (self.inner_tol > 0 and self.outer_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be nonnegative and finite, got {self.delta}")
+        if not (0 < self.inner_tol < math.inf and 0 < self.outer_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_inner_iters < 1 or self.max_refit_iters < 1:
             raise ValueError("iteration caps must be >= 1")
 
@@ -177,15 +179,11 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
     """The iteration loop the three inner solvers share.
 
     Every solve runs on the normalized data of `_normalized`, so that one
-    penalty and the divergence guard's floor suit data of any scale. It runs
-    on P_Omega alone (`a.sampling`), in the coefficients T(X) of
-    A = P_Omega T: T keeps the model (see `LinearMap`), so T is applied once
-    as the solve starts, to L^T R, and T^-1 once as it ends. It returns c
-    times T^-1 of the last X and records the trace in the units of b.
-    `steps(a, b, g, x0, cfg, start)` is a solver's step generator, run with
-    a = P_Omega on b/c and g = T(L^T R). With start None it starts at
-    x0 = P_Omega*(b/c): it starts its
-    other iterates from copies of x0 and drops x0 itself once it has no
+    penalty and the divergence guard's floor suit data of any scale. It
+    returns c times the last X and records the trace in the units of b.
+    `steps(a, b, g, x0, cfg, start)` is a solver's step generator, run on
+    b/c with g = L^T R. With start None it starts at x0 = A*(b/c): it starts
+    its other iterates from copies of x0 and drops x0 itself once it has no
     further use for it, so that x0 is not held for the whole solve. (Sharing
     x0 would be as correct, but the changed heap layout made glibc trim and
     refault the 300x300 temporaries of admm every iteration.) Once per
@@ -200,28 +198,27 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
 
     `carry`, when given, hands one solve's end to the next solve on the same
     b (the refits of `solve_with_rank`). A solve leaves its last X and the
-    dict of its last iterates there, in the units of b/c and in the
-    coefficients T(X), neither of which changes between solves on one b and
-    one A. A solve given a nonempty carry starts from them instead of
-    P_Omega*(b/c): x0 is the last X, from which the first X-change is
-    taken, and `start` holds the iterates. The carry is emptied as the solve
-    starts, so that the old iterates die as the new ones replace them.
+    dict of its last iterates there, in the units of b/c, which do not
+    change between solves on one b and one A. A solve given a nonempty carry
+    starts from them instead of A*(b/c): x0 is the last X, from which the
+    first X-change is taken, and `start` holds the iterates. The carry is
+    emptied as the solve starts, so that the old iterates die as the new
+    ones replace them.
     """
     c, b, cfg = _normalized(a, b, cfg)
-    sampling = a.sampling
     start = dict(carry) if carry else None
-    x = start.pop("X") if start else sampling.adjoint(b)
+    x = start.pop("X") if start else a.adjoint(b)
     if carry:
         carry.clear()
-    g = a.transform(pair.correction())
+    g = pair.correction()
     denom = float(b @ b) or 1.0
     trace = StageTrace(rank=pair.r)
     obj_ref = None
-    iterations = zip(range(1, cfg.max_inner_iters + 1), steps(sampling, b, g, x, cfg, start))
+    iterations = zip(range(1, cfg.max_inner_iters + 1), steps(a, b, g, x, cfg, start))
     del start
     for k, (x_new, s_shrunk, gap, beta, state) in iterations:
         obj = float(s_shrunk.sum() - np.vdot(x_new, g))
-        resid = float(np.linalg.norm(sampling.apply(x_new) - b))
+        resid = float(np.linalg.norm(a.apply(x_new) - b))
         trace.record(1, k, c * obj, c * resid, beta / c)
         if obj_ref is None:
             obj_ref = obj
@@ -234,7 +231,7 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
     trace.inner_iters.append(trace.total_inner_iters)
     if carry is not None:
         carry.update(state, X=x)
-    return c * a.inverse(x), trace
+    return c * x, trace
 
 
 def _admm_steps(a, b, g, x, cfg, start=None):
@@ -385,29 +382,35 @@ def solve_with_rank(a: LinearMap, b, r: int, inner: str = "admm",
                     x0: np.ndarray | None = None) -> tuple[np.ndarray, StageTrace]:
     """Solve the truncation-rank-r model for a fixed r.
 
-    Starting from x0 (by default the matrix form of b), alternates extracting
-    the truncation pair from the current iterate with an inner solve until
-    the squared relative change across refits, the first taken from x0,
-    drops below outer_tol. The first inner solve starts from the matrix form
-    of b/c, and each later one where the one before it ended (the `carry` of
+    The stage runs on P_Omega alone (`a.sampling`), in the coefficients T(X)
+    of A = P_Omega T: T keeps the model (see `LinearMap`), so T is applied
+    once as the stage starts, to x0, and T^-1 once as it returns. Starting
+    from x0 (by default the matrix form of b), alternates extracting the
+    truncation pair from the current iterate with an inner solve until the
+    squared relative change across refits, the first taken from x0, drops
+    below outer_tol. The first inner solve starts from the matrix form of
+    b/c, and each later one where the one before it ended (the `carry` of
     `_iterate`): the data do not change between refits, only the pair. The
     stage counts as converged only if, in addition, its last inner solve
     converged: a capped inner solve can pass the outer test by barely moving.
     r = 0 is the plain nuclear-norm model: its pair does not depend on the
     iterate, so a single inner solve suffices and its trace, convergence flag
-    included, is returned.
+    included, is returned. r and x0 are checked at every rank.
     """
     cfg = cfg or SolverConfig()
     b = _as_measurement(b, a.p)
+    s = a.sampling
+    x_l = s.adjoint(b) if x0 is None else a.transform(a._check_domain(x0))
+    r = _check_rank_arg(x_l, r)
     if r == 0:
-        return _run_inner(inner, a, b, TruncationPair.empty(*a.shape), cfg)
+        x, trace = _run_inner(inner, s, b, TruncationPair.empty(*a.shape), cfg)
+        return a.inverse(x), trace
     b_norm = _norm(b) or 1.0
-    stage_trace = StageTrace(rank=int(r))
-    x_l = a.adjoint(b) if x0 is None else a._check_domain(x0)
+    stage_trace = StageTrace(rank=r)
     carry = {}
     for l in range(1, cfg.max_refit_iters + 1):
         pair = truncation_pair(x_l, r)
-        x_next, t = _run_inner(inner, a, b, pair, cfg, carry)
+        x_next, t = _run_inner(inner, s, b, pair, cfg, carry)
         stage_trace.absorb(t, l)
         change = (_norm(x_next - x_l) / b_norm) ** 2
         stage_trace.l_change.append(change)
@@ -415,7 +418,7 @@ def solve_with_rank(a: LinearMap, b, r: int, inner: str = "admm",
         if change <= cfg.outer_tol:
             stage_trace.converged = t.converged
             break
-    return x_l, stage_trace
+    return a.inverse(x_l), stage_trace
 
 
 def lrisd_stages(a: LinearMap, b, inner: str = "admm", sve_cfg: SveConfig | None = None,

@@ -171,6 +171,8 @@ class TestSettingsTable:
         (["--std", "-1"], "std"),
         (["--delta", "-1"], "delta"),
         (["--kappa", "0"], "kappa"),
+        (["--std", "1e308"], "delta"),
+        (["--seed", "-1"], "seed"),
     ])
     def test_library_checks_run_before_any_write(self, tmp_path, capsys, given, field):
         if isinstance(given, str):

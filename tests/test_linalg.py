@@ -289,6 +289,20 @@ class TestTruncatedNuclearNorm:
         with pytest.raises(ValueError):
             truncated_nuclear_norm(np.eye(3), -1)
 
+    @pytest.mark.parametrize("r", [1.9, 2.7, 1.0, "1", None])
+    def test_non_integer_rank_rejected(self, r):
+        # int(r) would truncate 1.9 to 1 and 2.7 to 2
+        with pytest.raises(TypeError):
+            truncated_nuclear_norm(np.diag([3.0, 2.0, 1.0]), r)
+        with pytest.raises(TypeError):
+            truncation_pair(np.diag([3.0, 2.0, 1.0]), r)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_rank_accepted(self, kind):
+        x = np.diag([3.0, 2.0, 1.0])
+        assert truncated_nuclear_norm(x, kind(1)) == truncated_nuclear_norm(x, 1) == 3.0
+        assert truncation_pair(x, kind(2)).r == 2
+
     def test_nonincreasing_in_r_and_zero_at_full(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((6, 4))

@@ -12,6 +12,7 @@ from tnnr.linalg import TruncationPair, nuclear_norm, shrink, truncated_nuclear_
 from tnnr.metrics import relative_error
 from tnnr.operators import PartialDct2D, SamplingMask, project_ball
 from tnnr.solvers import (
+    ADMM_BETA,
     ADMMAP_BETA0,
     ALPHA,
     BETA_MAX,
@@ -53,21 +54,8 @@ def instance(m, n, r, sr, std, seed, kind="mask"):
 
 
 def steps_of(name, a, b, pair, cfg):
-    """A solver's step generator, started as `_iterate` starts it: on
-    P_Omega (`a.sampling`) and the normalized data b/c, with delta and mu in
-    its units and g = T(L^T R); each yielded X is mapped back by T^-1. The
-    other iterates stay in the coefficients T(X)."""
-    _, b, cfg = _normalized(a, b, cfg)
-    sampling = a.sampling
-    steps = SOLVERS[name][1](sampling, b, a.transform(pair.correction()),
-                             sampling.adjoint(b), cfg)
-    for x, *rest in steps:
-        yield (a.inverse(x), *rest)
-
-
-def steps_on_operator(name, a, b, pair, cfg):
-    """The reference start: the step generator driven on A itself, with a T
-    and a T^-1 inside every apply and adjoint, on b/c with g = L^T R."""
+    """A solver's step generator, started as `_iterate` starts it: on the
+    normalized data b/c, with delta and mu in its units, from A*(b/c)."""
     _, b, cfg = _normalized(a, b, cfg)
     return SOLVERS[name][1](a, b, pair.correction(), a.adjoint(b), cfg)
 
@@ -75,12 +63,10 @@ def steps_on_operator(name, a, b, pair, cfg):
 def iterates(name, a, b, pair, cfg):
     """Solve, then drive the solver's step generator for as many iterations
     as the solve ran. Returns x, the trace and one dict per iteration with
-    the yielded X, penalty and iterates, its m x n iterates mapped back by
-    T^-1 as X is."""
+    the yielded X, penalty and iterates."""
     x, trace = SOLVERS[name][0](a, b, pair, cfg)
     steps = itertools.islice(steps_of(name, a, b, pair, cfg), len(trace.k))
-    return x, trace, [{key: a.inverse(v) if np.ndim(v) == 2 else v for key, v in state.items()}
-                      | {"X": x_k, "beta": beta} for x_k, _, _, beta, state in steps]
+    return x, trace, [state | {"X": x_k, "beta": beta} for x_k, _, _, beta, state in steps]
 
 
 def admmap_iterates(a, b, pair, cfg):
@@ -103,6 +89,7 @@ class TestSolverConfig:
         {"beta": 0.0}, {"beta": 2e6}, {"mu": -1.0}, {"delta": -0.1},
         {"inner_tol": 0.0}, {"max_inner_iters": 0},
         *({name: float("nan")} for name in ("beta", "mu", "delta", "inner_tol", "outer_tol")),
+        *({name: float("inf")} for name in ("beta", "mu", "delta", "inner_tol", "outer_tol")),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -458,20 +445,25 @@ class TestStepGenerators:
     @pytest.mark.parametrize("name", ["admm", "apgl", "admmap"])
     @pytest.mark.parametrize("std", [0.0, 0.3])
     def test_sampling_path_follows_the_operator_path(self, name, std):
-        # the loop on P_Omega in the DCT coefficients takes, iteration by
-        # iteration, the steps the loop on A = P_Omega T takes on the matrix
+        # the loop on P_Omega in the DCT coefficients, started as
+        # solve_with_rank starts a stage (the pair taken on T(A*(b)) =
+        # P_Omega*(b)), takes, iteration by iteration, the steps the loop on
+        # A = P_Omega T takes on the matrix
         x_star, a, b = instance(30, 30, 2, 0.5, std, 9, kind="dct")
-        pair = truncation_pair(a.adjoint(b), 2)
         cfg = SolverConfig(delta=std * np.sqrt(a.p))  # apgl reads mu, not delta
-        sampled = steps_of(name, a, b, pair, cfg)
-        direct = steps_on_operator(name, a, b, pair, cfg)
+        sampling = a.sampling
+        _, b_c, cfg_c = _normalized(a, b, cfg)
+        sampled = SOLVERS[name][1](sampling, b_c,
+                                   truncation_pair(sampling.adjoint(b), 2).correction(),
+                                   sampling.adjoint(b_c), cfg_c)
+        direct = steps_of(name, a, b, truncation_pair(a.adjoint(b), 2), cfg)
 
         def close(got, ref):
             return np.linalg.norm(np.subtract(got, ref)) <= 1e-10 * np.linalg.norm(ref)
 
         for k, (got, ref) in enumerate(itertools.islice(zip(sampled, direct), 15), 1):
             (x, s, gap, beta, state), (x_ref, s_ref, gap_ref, beta_ref, state_ref) = got, ref
-            assert close(x, x_ref) and close(s, s_ref), f"iteration {k}"
+            assert close(a.inverse(x), x_ref) and close(s, s_ref), f"iteration {k}"
             assert close(gap, gap_ref) and beta == beta_ref, f"iteration {k}"
             for key, v in state.items():
                 v = a.inverse(v) if np.ndim(v) == 2 else v
@@ -479,10 +471,11 @@ class TestStepGenerators:
 
     @pytest.mark.parametrize("name", ["admm", "apgl", "admmap"])
     def test_transforms_per_solve_do_not_grow_with_iterations(self, name, monkeypatch):
-        # one T of L^T R and one T^-1 of the result; admm and admmap add the
-        # final ball projection's pair, always run at delta = 0
+        # a solve_with_rank call on a DCT takes one T of its start, when
+        # given one, and one T^-1 of its result, however many inner
+        # iterations and refits it runs (admm's penalty keeps admmap's first
+        # iterates off the shrink's dead zone, where a refit would not move)
         x_star, a, b = instance(20, 20, 2, 0.5, 0.0, 3, kind="dct")
-        pair = truncation_pair(x_star, 2)
         calls = []
 
         def counted(f):
@@ -490,14 +483,17 @@ class TestStepGenerators:
 
         for attr in ("transform", "inverse"):
             monkeypatch.setattr(PartialDct2D, attr, counted(getattr(PartialDct2D, attr)))
-        counts = []
-        for cap in (5, 50):
-            calls.clear()
-            cfg = SolverConfig(inner_tol=1e-30, max_inner_iters=cap)
-            _, trace = SOLVERS[name][0](a, b, pair, cfg)
-            assert len(trace.k) == cap
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == (2 if name == "apgl" else 4)
+        for x0, want in ((None, 1), (a.adjoint(b), 2)):
+            for r in (0, 2):
+                counts = []
+                for cap, refits in itertools.product((5, 50), (1, 3)):
+                    calls.clear()
+                    cfg = SolverConfig(beta=ADMM_BETA, inner_tol=1e-30, outer_tol=1e-30,
+                                       max_inner_iters=cap, max_refit_iters=refits)
+                    _, trace = solve_with_rank(a, b, r, name, cfg, x0)
+                    assert trace.inner_iters == [cap] * (refits if r else 1)
+                    counts.append(len(calls))
+                assert counts == [want] * 4
 
 
 class TestSubsetEigensolverRoute:
@@ -632,6 +628,21 @@ class TestLrisd:
         assert trace.inner_iters and set(trace.inner_iters) == {1}
         assert trace.l_change[-1] <= SolverConfig().outer_tol
         assert trace.converged is False
+
+    @pytest.mark.parametrize("r", [0, 1])
+    @pytest.mark.parametrize("x0", [np.full((4, 4), np.nan), np.full((5, 5), np.nan),
+                                    np.zeros((4, 4))])
+    def test_start_is_checked_at_every_rank(self, r, x0):
+        _, a, b = instance(5, 5, 1, 0.8, 0.0, 13)
+        with pytest.raises(ValueError, match="finite|does not match"):
+            solve_with_rank(a, b, r, x0=x0)
+
+    @pytest.mark.parametrize("r", [1.5, 0.5, np.float64(1.0)])
+    def test_non_integer_rank_rejected(self, r):
+        # int(r) would solve at rank 1 and 0
+        _, a, b = instance(5, 5, 1, 0.8, 0.0, 13)
+        with pytest.raises(TypeError):
+            solve_with_rank(a, b, r)
 
     def test_trace_rows_shape(self):
         x_star, a, b = instance(12, 12, 2, 0.7, 0.0, 14)
