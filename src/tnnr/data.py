@@ -23,6 +23,8 @@ def stream_rng(seed: int, stream: str) -> np.random.Generator:
     """Independent generator for one named component of an experiment."""
     if stream not in _STREAMS:
         raise ValueError(f"unknown stream {stream!r}, expected one of {sorted(_STREAMS)}")
+    if int(seed) < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     return np.random.default_rng(np.random.SeedSequence((int(seed), _STREAMS[stream])))
 
 
@@ -47,6 +49,8 @@ class SyntheticSpec:
             raise ValueError(f"sample ratio must be in (0, 1], got {self.sr}")
         if not self.std >= 0:
             raise ValueError(f"noise std must be nonnegative, got {self.std}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def p(self) -> int:

@@ -13,9 +13,13 @@ Each run writes into a directory named after it, next to this file:
 
 Run from the repository root after a change that moves results on purpose:
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [NAME...]
 
-and commit the rewritten files; their diff shows what moved.
+and commit the rewritten files; their diff shows what moved. With names, it
+rewrites only those runs of the manifest (an unknown name is an error, and
+nothing is rewritten); without, every run. Rewrite only the runs the change
+is meant to move: on another machine's BLAS a full rewrite can also change
+last digits elsewhere.
 """
 
 import contextlib
@@ -116,8 +120,12 @@ def outputs(name: str) -> dict[str, str]:
         return _run_command(config["argv"], Path(work))
 
 
-def main_regen() -> None:
-    for name in CONFIGS:
+def main_regen(names) -> None:
+    unknown = [name for name in names if name not in CONFIGS]
+    if unknown:
+        sys.exit(f"unknown golden run(s): {', '.join(unknown)}; "
+                 f"expected names from manifest.json: {', '.join(CONFIGS)}")
+    for name in names or CONFIGS:
         target = GOLDEN / name
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir()
@@ -127,4 +135,4 @@ def main_regen() -> None:
 
 
 if __name__ == "__main__":
-    main_regen()
+    main_regen(sys.argv[1:])

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnnr.data import SyntheticSpec, load_image, save_image, stream_rng, synth_lowrank
+from tnnr.data import (SyntheticSpec, load_image, random_operator, save_image, stream_rng,
+                       synth_lowrank)
 from tnnr.metrics import psnr, relative_error
 
 
@@ -27,6 +28,15 @@ class TestSyntheticSpec:
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ValueError):
             SyntheticSpec(**kwargs)
+
+    def test_negative_seed_names_the_field(self):
+        # numpy's own message, "expected non-negative integer", names none
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            SyntheticSpec(5, 5, 1, 0.5, 0.0, -1)
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -3"):
+            random_operator("mask", 5, 5, 0.5, -3)
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -2"):
+            stream_rng(-2, "noise")
 
 
 class TestSynthLowrank:

@@ -2,8 +2,8 @@
 committed next to it. Integers and strings must match exactly; a float must
 lie within 1e-9 of its column's largest magnitude, since BLAS builds and
 thread counts round differently. Other files must match byte for byte.
-After a change that moves results on purpose, rewrite the files with
-`PYTHONPATH=src python tests/golden/regen.py`."""
+After a change that moves results on purpose, rewrite the runs it moves with
+`PYTHONPATH=src python tests/golden/regen.py NAME...`."""
 
 import csv
 import io
@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from golden.regen import CONFIGS, GOLDEN, outputs
+from golden.regen import CONFIGS, GOLDEN, main_regen, outputs
 
 REL_TOL = 1e-9
 _INT = re.compile(r"-?\d+")
@@ -55,3 +55,12 @@ def test_outputs_match_the_goldens(name):
             _assert_csv_close(want, got[filename], f"{name}/{filename}")
         else:
             assert got[filename] == want, f"{name}/{filename}"
+
+
+def test_regen_rejects_an_unknown_name_before_writing(monkeypatch, tmp_path):
+    # a typo in one name must not rewrite the runs named beside it
+    monkeypatch.setattr("golden.regen.GOLDEN", tmp_path)
+    monkeypatch.setattr("golden.regen.outputs", pytest.fail)
+    with pytest.raises(SystemExit, match="unknown golden run.*: no-such-run"):
+        main_regen([next(iter(CONFIGS)), "no-such-run"])
+    assert not any(tmp_path.iterdir())
