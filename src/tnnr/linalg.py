@@ -225,10 +225,14 @@ class TruncationPair:
 
 
 def truncation_pair(x, r: int) -> TruncationPair:
-    """Extract the top-r left/right singular vector blocks of x."""
+    """Extract the top-r left/right singular vector blocks of x, cut to its
+    numerical rank: only the singular vectors with sigma_i > sigma_1 max(m, n)
+    eps (numpy's matrix_rank tolerance) are kept, so the pair has r' <= r rows.
+    A vector below that floor would be drawn from a null space by rounding."""
     x = as_matrix(x)
     r = _check_rank_arg(x, r)
     if r == 0:
         return TruncationPair.empty(*x.shape)
-    u, _, vt = np.linalg.svd(x, full_matrices=False)
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    r = int(np.count_nonzero(s[:r] > s[0] * max(x.shape) * np.finfo(float).eps))
     return TruncationPair(r=r, L=u[:, :r].T.copy(), R=vt[:r].copy())

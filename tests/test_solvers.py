@@ -690,6 +690,26 @@ class TestContinuation:
             change = (np.linalg.norm(x_first - x_prev) / np.linalg.norm(b)) ** 2
             assert trace.l_change[0] == change
 
+    def test_rank_above_the_start_is_a_function_of_the_start(self):
+        # the compare-mask-adjust golden: its sweep solves at r = 3 from
+        # lrisd's recovery, whose third singular value is rounding (2.4e-15
+        # of 31). A pair row drawn from that null space would depend on a
+        # 1e-15 perturbation of the start: 25-28 inner iterations, and x
+        # moving by about 1e-2.
+        spec = SyntheticSpec(30, 24, 2, 0.6, 0.1, 0)
+        _, a, b = synth_lowrank(spec, kind="mask")
+        cfg = SolverConfig(delta=0.1 * np.sqrt(a.p), max_inner_iters=300)
+        x_hat, traces = lrisd(a, b, "admm", SveConfig(), cfg)
+        assert traces[-1].rank == 2
+        x, trace = solve_with_rank(a, b, 3, "admm", cfg, x_hat)
+        rng = np.random.default_rng(1)
+        for _ in range(4):
+            e = rng.standard_normal(x_hat.shape)
+            e *= 1e-15 * np.linalg.norm(x_hat) / np.linalg.norm(e)
+            x_e, trace_e = solve_with_rank(a, b, 3, "admm", cfg, x_hat + e)
+            assert trace_e.inner_iters == trace.inner_iters
+            assert np.linalg.norm(x_e - x) <= 1e-10 * np.linalg.norm(x)
+
     @pytest.mark.parametrize("name", ["admm", "admmap"])
     def test_warm_refit_reaches_the_cold_objective_sooner(self, name):
         # the second refit of the last stage, from the first refit's iterates
