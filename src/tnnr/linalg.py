@@ -80,33 +80,37 @@ def _syevr():
     return fn, i
 
 
-def _eigenpairs_above(syevr, gram: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of the symmetric Gram matrix above floor, ascending,
-    and their eigenvectors as columns, from LAPACK dsyevr (RANGE = 'V'): its
-    cost grows with their count instead of with the order of gram. gram is
-    overwritten."""
+def _dsyevr(syevr, gram: np.ndarray, which: bytes, vl: float = 0.0, vu: float = 0.0,
+            il: int = 0, iu: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Some eigenpairs of the symmetric Gram matrix from LAPACK dsyevr, whose
+    cost grows with their count instead of with the order of gram: with
+    which = b"V" those with eigenvalues in (vl, vu], with b"I" the il-th to
+    iu-th smallest (1-based). Returns the eigenvalues ascending and their
+    eigenvectors as columns. gram is overwritten."""
     fn, lapack_int = syevr
     gram = np.require(gram, np.float64, ["C", "W"])  # what the pointer below assumes
     n = gram.shape[0]
     if gram.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {gram.shape}")
-    # every eigenvalue of a Gram matrix lies in [0, trace]; the doubled trace
-    # leaves room for rounding. dsyevr rejects an empty range (info = -9).
-    top = 2.0 * float(np.trace(gram))
-    if floor >= top:
-        return np.empty(0), np.empty((n, 0))
     w = np.empty(n)
     z = np.empty((n, n))  # column-major, leading dimension n: row i is vector i
     support = np.empty(2 * n, dtype=lapack_int)
     found = lapack_int(0)
     # gram is symmetric and C-contiguous, so it is also its column-major self
-    info = fn(_LAPACK_COL_MAJOR, b"V", b"V", b"L", n, gram.ctypes.data, n, floor, top,
-              0, 0, 0.0, ctypes.byref(found), w.ctypes.data, z.ctypes.data, n,
-              support.ctypes.data)
+    info = fn(_LAPACK_COL_MAJOR, b"V", which, b"L", n, gram.ctypes.data, n, vl, vu, il, iu,
+              0.0, ctypes.byref(found), w.ctypes.data, z.ctypes.data, n, support.ctypes.data)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACKE_dsyevr failed with info = {info}")
     k = found.value
     return w[:k], z[:k].T
+
+
+def _scaled_gram(x: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """x / c and its smaller Gram matrix, (x/c)(x/c)^T for a wide x and
+    (x/c)^T(x/c) otherwise. With c = max |x_ij| the Gram matrix stays clear
+    of overflow and underflow at any scale of x."""
+    xs = x / c
+    return xs, xs @ xs.T if x.shape[0] < x.shape[1] else xs.T @ xs
 
 
 # The shrink computes only the eigenpairs above the threshold when the
@@ -123,17 +127,19 @@ def _shrink_factors(x: np.ndarray, tau: float,
     thresholded values (the singular values of the result), nonincreasing and
     padded with zeros to min(m, n).
 
-    Works from the eigendecomposition of the smaller Gram matrix of x / c,
-    c = max |x_ij| (the scaling keeps the Gram matrix clear of overflow and
-    underflow). Only the eigenpairs with sigma_i > tau enter the result, and
-    the projector V V^T does not depend on eigenvector signs. The Gram route
+    Works from the eigendecomposition of the smaller Gram matrix G of x / c,
+    c = max |x_ij| (`_scaled_gram`). Where ||G||_F <= (tau / c)^2, no
+    eigensolver runs: every sigma_i^2 / c^2 <= ||G||_2 <= ||G||_F, so no
+    value clears the threshold and the result is +0.0 throughout. Otherwise
+    only the eigenpairs with sigma_i > tau enter the result, and the
+    projector V V^T does not depend on eigenvector signs. The Gram route
     resolves sigma_i^2 to about eps * sigma_1^2, so the result is accurate to
     about eps * sigma_1 / tau relative to sigma_1; below tau = 1e-6 * sigma_1
     (tau = 0 included) the dense SVD is used instead.
 
     `prev`, the thresholded values the previous shrink of the same solve
     returned, chooses the eigensolver: when it kept few values, only the
-    eigenpairs above the threshold are computed (`_eigenpairs_above`, where
+    eigenpairs above the threshold are computed (`_dsyevr`, RANGE = 'V', where
     numpy's OpenBLAS exports dsyevr); otherwise, and without `prev`, all of
     them (`numpy.linalg.eigh`).
     """
@@ -142,16 +148,20 @@ def _shrink_factors(x: np.ndarray, tau: float,
     c = float(np.max(np.abs(x)))
     if c == 0.0:
         return np.zeros_like(x), np.zeros(q)
-    xs = x / c
+    xs, gram = _scaled_gram(x, c)
     t = tau / c
+    if np.linalg.norm(gram) <= t * t:
+        return np.zeros_like(x), np.zeros(q)
     wide = m < n
-    gram = xs @ xs.T if wide else xs.T @ xs
     few = prev is not None and np.count_nonzero(prev) <= q // SUBSET_DIVISOR
     syevr = _syevr() if few else None
     if syevr is None:
         w, v = np.linalg.eigh(gram)
     else:
-        w, v = _eigenpairs_above(syevr, gram, t * t)
+        # every eigenvalue of a Gram matrix lies in [0, trace], and the doubled
+        # trace leaves room for rounding. The range is not empty, which dsyevr
+        # would reject (info = -9): t^2 < ||gram||_F <= trace here.
+        w, v = _dsyevr(syevr, gram, b"V", vl=t * t, vu=2.0 * float(np.trace(gram)))
     if w.size and t * t < 1e-12 * w[-1]:
         return _dense_shrink(x, tau)
     j = int(np.searchsorted(w, t * t, side="right"))
@@ -224,15 +234,49 @@ class TruncationPair:
         return float(np.sum((self.L @ x) * self.R))
 
 
+def _gram_pair(x: np.ndarray, r: int) -> TruncationPair | None:
+    """truncation_pair(x, r) for 1 <= r from the top r + 1 eigenpairs of the
+    scaled Gram matrix G of `_scaled_gram` (`_dsyevr`, RANGE = 'I'): the
+    eigenvectors give the pair's rows on G's side, and x v / sigma those on
+    the other side. None where numpy's OpenBLAS exports no dsyevr, or where
+    the eigenvectors' subspace error bound eps lambda_1 / (lambda_r -
+    lambda_{r+1}) exceeds 1e-12 (lambda_{q+1} = 0). The bound also keeps
+    sigma_r above 1e-2 sigma_1, far above the numerical-rank floor of
+    `truncation_pair`, so tied and rank-deficient spectra return None."""
+    syevr = _syevr()
+    c = float(np.max(np.abs(x)))
+    if syevr is None or c == 0.0:
+        return None
+    q = min(x.shape)
+    xs, gram = _scaled_gram(x, c)
+    w, v = _dsyevr(syevr, gram, b"I", il=max(q - r, 1), iu=q)
+    w, v = w[::-1], v[:, ::-1]  # descending
+    below = w[r] if r < q else 0.0
+    if np.finfo(float).eps * w[0] > 1e-12 * (w[r - 1] - below):
+        return None
+    v = v[:, :r]
+    wide = x.shape[0] < x.shape[1]
+    other = (v.T @ (xs if wide else xs.T)) / np.sqrt(w[:r])[:, None]
+    own = np.ascontiguousarray(v.T)
+    return TruncationPair(r=r, L=own, R=other) if wide else TruncationPair(r=r, L=other, R=own)
+
+
 def truncation_pair(x, r: int) -> TruncationPair:
     """Extract the top-r left/right singular vector blocks of x, cut to its
     numerical rank: only the singular vectors with sigma_i > sigma_1 max(m, n)
     eps (numpy's matrix_rank tolerance) are kept, so the pair has r' <= r rows.
-    A vector below that floor would be drawn from a null space by rounding."""
+    A vector below that floor would be drawn from a null space by rounding.
+
+    The rows come from r + 1 eigenpairs of the smaller Gram matrix where
+    their error bound allows it (`_gram_pair`), and from a full `gesdd` of x
+    otherwise."""
     x = as_matrix(x)
     r = _check_rank_arg(x, r)
     if r == 0:
         return TruncationPair.empty(*x.shape)
+    pair = _gram_pair(x, r)
+    if pair is not None:
+        return pair
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     r = int(np.count_nonzero(s[:r] > s[0] * max(x.shape) * np.finfo(float).eps))
     return TruncationPair(r=r, L=u[:, :r].T.copy(), R=vt[:r].copy())

@@ -256,8 +256,7 @@ class TestEigensolverRoute:
         # take the subset route; the first shrink of a solve takes the full one
         x = np.random.default_rng(24).standard_normal((40, 36))
         prev = np.r_[np.ones(kept), np.zeros(36 - kept)]
-        with mock.patch.object(linalg, "_eigenpairs_above",
-                               wraps=linalg._eigenpairs_above) as partial:
+        with mock.patch.object(linalg, "_dsyevr", wraps=linalg._dsyevr) as partial:
             _shrink_factors(x, 1.0, prev)
             _shrink_factors(x, 1.0)
         assert partial.call_count == int(subset and linalg._syevr() is not None)
@@ -265,17 +264,53 @@ class TestEigensolverRoute:
     @pytest.mark.parametrize("shape", [(6, 9), (9, 6)])
     @pytest.mark.parametrize("subset", [False, True])
     def test_tau_above_sigma_1_gives_positive_zeros(self, shape, subset):
-        # no eigenpair clears the threshold: the factor products have inner
-        # dimension 0, and numpy returns +0.0 everywhere. (tau / c)^2 stays
-        # below the doubled Gram trace, so dsyevr runs and finds no pair.
+        # (tau / c)^2 between sigma_1^2 and ||G||_F: the Frobenius test
+        # cannot rule out a value above tau, so the eigensolver runs and finds
+        # no pair. The factor products have inner dimension 0, and numpy
+        # returns +0.0 everywhere.
         x = np.random.default_rng(25).standard_normal(shape)
+        gram_f = np.linalg.norm(x.T @ x if shape[0] > shape[1] else x @ x.T)
+        tau = np.sqrt((np.linalg.norm(x, 2) ** 2 + gram_f) / 2.0)
         prev = np.zeros(6) if subset else None
-        with mock.patch.object(linalg, "_eigenpairs_above",
-                               wraps=linalg._eigenpairs_above) as partial:
-            out, vals = _shrink_factors(x, 1.1 * np.linalg.norm(x, 2), prev)
+        with mock.patch.object(linalg, "_dsyevr", wraps=linalg._dsyevr) as partial, \
+                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as full:
+            out, vals = _shrink_factors(x, tau, prev)
+        assert partial.call_count + full.call_count == 1
         assert partial.call_count == int(subset and linalg._syevr() is not None)
         assert out.shape == shape and np.all(out == 0.0) and not np.signbit(out).any()
         assert vals.shape == (6,) and np.all(vals == 0.0) and not np.signbit(vals).any()
+
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6), (1, 5), (5, 1)])
+    @pytest.mark.parametrize("subset", [False, True])
+    @pytest.mark.parametrize("factor", [1.000001, 1.1, 1e3])
+    def test_certified_empty_shrink_runs_no_eigensolver(self, shape, subset, factor):
+        # (tau / c)^2 >= ||G||_F bounds every sigma_i^2 / c^2: +0.0 zeros
+        # come back on both routes before any decomposition
+        x = np.random.default_rng(26).standard_normal(shape)
+        tau = factor * np.sqrt(np.linalg.norm(x.T @ x if shape[0] > shape[1] else x @ x.T))
+        prev = np.zeros(min(shape)) if subset else None
+        with mock.patch.object(linalg, "_dsyevr") as partial, \
+                mock.patch.object(np.linalg, "eigh") as full, \
+                mock.patch.object(np.linalg, "svd") as dense:
+            out, vals = _shrink_factors(x, tau, prev)
+        assert partial.call_count == full.call_count == dense.call_count == 0
+        assert out.shape == shape and np.all(out == 0.0) and not np.signbit(out).any()
+        assert vals.shape == (min(shape),) and np.all(vals == 0.0)
+        assert not np.signbit(vals).any()
+
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6)])
+    @pytest.mark.parametrize("subset", [False, True])
+    @pytest.mark.parametrize("rank", [1, 6])
+    def test_tau_just_below_sigma_1_keeps_one_value(self, shape, subset, rank):
+        # at rank 1, ||G||_F = sigma_1^2 / c^2: the Frobenius test is tight
+        # there and must still let sigma_1 - tau through
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        s = np.linalg.svd(x, compute_uv=False)
+        assert s[1] < 0.99 * s[0]
+        out, vals = _shrink_factors(x, 0.99 * s[0], np.zeros(6) if subset else None)
+        assert vals[0] == pytest.approx(0.01 * s[0], rel=1e-8) and np.all(vals[1:] == 0.0)
+        assert np.linalg.svd(out, compute_uv=False)[0] == pytest.approx(vals[0], rel=1e-8)
 
 
 class TestTruncatedNuclearNorm:
@@ -352,3 +387,82 @@ class TestTruncationPair:
                 pair = truncation_pair(x, r)
                 total = truncated_nuclear_norm(x, r) + pair.trace_term(x)
                 assert total == pytest.approx(full, rel=1e-8)
+
+
+def separated(shape, r, rng):
+    """A rank-r Gaussian factor product plus small noise: sigma_r is far above
+    sigma_{r+1}, as in the benchmark's recoveries."""
+    m, n = shape
+    return (rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+            + 1e-2 * rng.standard_normal(shape))
+
+
+def with_spectrum(shape, s, rng):
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], len(s))))
+    return (u * s) @ v.T
+
+
+def gram_route():
+    if linalg._syevr() is None:
+        pytest.skip("numpy's OpenBLAS exports no dsyevr: every pair takes the dense route")
+
+
+class TestTruncationPairRoute:
+    """The pair comes from r + 1 eigenpairs of the scaled Gram matrix where
+    their subspace error bound is at most 1e-12, and from a dense SVD
+    otherwise."""
+
+    def test_numpy_openblas_exports_the_pairs_dsyevr(self):
+        # the pair calls dsyevr with RANGE = 'I'; a build that loses the
+        # binding would run every pair through the dense SVD unnoticed
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy's BLAS is {blas.get('name')}, not scipy-openblas")
+        x = separated((40, 30), 3, np.random.default_rng(30))
+        with mock.patch.object(linalg, "_dsyevr", wraps=linalg._dsyevr) as partial:
+            truncation_pair(x, 3)
+        assert partial.call_count == 1 and partial.call_args.args[2] == b"I"
+
+    @pytest.mark.parametrize("shape", [(40, 30), (30, 40)])
+    @pytest.mark.parametrize("r", [1, 3, 30])
+    def test_separated_spectrum_takes_the_gram_route(self, shape, r):
+        # r = 30 = min(m, n): lambda_{q+1} = 0 is the gap's lower end
+        gram_route()
+        rng = np.random.default_rng(31)
+        x = separated(shape, 3, rng) if r < 30 else with_spectrum(shape, np.linspace(5, 1, 30), rng)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as dense:
+            pair = truncation_pair(x, r)
+        assert dense.call_count == 0
+        assert pair.r == r and pair.L.shape == (r, shape[0]) and pair.R.shape == (r, shape[1])
+        assert pair.L.flags.c_contiguous and pair.R.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", [(40, 30), (30, 40)])
+    @pytest.mark.parametrize("case, r, kept", [("tie", 2, 2), ("rank_deficient", 3, 2),
+                                               ("ill_conditioned", 2, 2), ("zero", 2, 0)])
+    def test_tied_or_rank_deficient_spectrum_takes_the_dense_route(self, shape, case, r, kept):
+        rng = np.random.default_rng(32)
+        spectra = {"tie": [3.0, 2.0, 2.0, 1.0], "rank_deficient": [3.0, 2.0],
+                   "ill_conditioned": [1.0, 1e-3, 1e-4]}
+        x = np.zeros(shape) if case == "zero" else with_spectrum(shape, spectra[case], rng)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as dense:
+            pair = truncation_pair(x, r)
+        assert dense.call_count == 1
+        assert pair.r == kept and pair.L.shape == (kept, shape[0])
+        assert pair.R.shape == (kept, shape[1])
+
+    @pytest.mark.parametrize("size, r", [(128, 5), (300, 20), (512, 25)])
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+    def test_projectors_match_a_dense_svd(self, size, r, wide, scale):
+        gram_route()
+        shape = (size - size // 4, size) if wide else (size, size - size // 4)
+        base = separated(shape, r, np.random.default_rng(size))
+        u, _, vt = np.linalg.svd(base, full_matrices=False)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as dense:
+            pair = truncation_pair(base * scale, r)
+        assert dense.call_count == 0 and pair.r == r
+        assert np.linalg.norm(pair.L.T @ pair.L - u[:, :r] @ u[:, :r].T) <= 1e-12
+        assert np.linalg.norm(pair.R.T @ pair.R - vt[:r].T @ vt[:r]) <= 1e-12
+        assert np.linalg.norm(pair.L @ pair.L.T - np.eye(r)) <= 1e-12
+        assert np.linalg.norm(pair.R @ pair.R.T - np.eye(r)) <= 1e-12

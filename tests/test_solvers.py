@@ -509,8 +509,7 @@ class TestSubsetEigensolverRoute:
         pair = truncation_pair(a.adjoint(b), 3)
         cfg = SolverConfig(delta=0.1 * np.sqrt(a.p))
         _, trace = SOLVERS[name][0](a, b, pair, cfg)
-        with mock.patch.object(linalg, "_eigenpairs_above",
-                               wraps=linalg._eigenpairs_above) as partial:
+        with mock.patch.object(linalg, "_dsyevr", wraps=linalg._dsyevr) as partial:
             subset = [item[0] for item in
                       itertools.islice(steps_of(name, a, b, pair, cfg), len(trace.k))]
         with mock.patch.object(linalg, "_syevr", lambda: None):
