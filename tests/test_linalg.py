@@ -154,6 +154,13 @@ def assert_matches_dense(x, tau, route, what=""):
     assert_close_or_zero(shrink(x, tau), ref_out, f"{what} shrink")
 
 
+def with_spectrum(shape, s, rng):
+    """A matrix with singular values s and random singular vectors."""
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], len(s))))
+    return (u * s) @ v.T
+
+
 def shrink_input(kind, shape, rng):
     m, n = shape
     q = min(m, n)
@@ -165,13 +172,11 @@ def shrink_input(kind, shape, rng):
         r = max(q - 2, 1)
         return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
     # repeated singular values: a triple at the top, a pair at the bottom
-    u, _ = np.linalg.qr(rng.standard_normal((m, q)))
-    v, _ = np.linalg.qr(rng.standard_normal((n, q)))
     s = np.linspace(3.0, 1.0, q)
     s[:3] = 3.0
     if q > 4:
         s[-2:] = 1.0
-    return (u * s) @ v.T
+    return with_spectrum(shape, s, rng)
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -395,12 +400,6 @@ def separated(shape, r, rng):
     m, n = shape
     return (rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
             + 1e-2 * rng.standard_normal(shape))
-
-
-def with_spectrum(shape, s, rng):
-    u, _ = np.linalg.qr(rng.standard_normal((shape[0], len(s))))
-    v, _ = np.linalg.qr(rng.standard_normal((shape[1], len(s))))
-    return (u * s) @ v.T
 
 
 def gram_route():
