@@ -10,10 +10,9 @@ Each operator also holds P_Omega alone (`sampling`), on which
 """
 
 import math
-from functools import partial
+from functools import cache
 
 import numpy as np
-from scipy import fft
 
 from .linalg import as_matrix
 
@@ -43,14 +42,26 @@ def _norm(v) -> float:
     return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
 
 
+@cache
+def _dct_matrix(n: int) -> np.ndarray:
+    """The orthonormal DCT-II matrix C_n, C[k, j] = s_k cos(pi (2j + 1) k / 2n),
+    s_0 = sqrt(1/n) and s_k = sqrt(2/n), with the integer (2j + 1) k reduced
+    mod 4n, the cosine's period, at any n. Built once per order, read-only."""
+    k = np.arange(n)
+    c = np.cos(np.pi / (2 * n) * (np.outer(k, 2 * k + 1) % (4 * n))) * math.sqrt(2 / n)
+    c[0] = math.sqrt(1 / n)
+    c.flags.writeable = False
+    return c
+
+
 class LinearMap:
     """A = P_Omega T : R^{m x n} -> R^p, with A A* = I.
 
     `slots` holds the p distinct flat (row-major) indices of the entries of
     T(X) that are measured, in measurement order. They are fixed at
-    construction, so reruns measure bit-identically. T is the identity here;
-    a subclass may set another `transform` and its `inverse`, which must
-    have the form X -> U X V^T with U and V orthogonal. Such a T keeps the
+    construction, so reruns measure bit-identically. T is held as data,
+    `uv`: None for the identity, or the pair (U, V) of orthogonal matrices
+    with T(X) = U X V^T, which a subclass sets. Such a T keeps the
     singular values, so the nuclear norm, its shrinkage and the trace term
     Tr(L X R^T) = <T(L^T R), T(X)> read the same on T(X): a solve on A is a
     completion solve on `sampling`, P_Omega alone, run on the coefficients
@@ -67,6 +78,7 @@ class LinearMap:
     columns = ("slots",)
     file_kind = "operator"
     has_dc = False  # whether T has a DC coefficient, at slot 0
+    uv = None
 
     def __init__(self, m: int, n: int, slots):
         slots = np.asarray(slots, dtype=np.intp)
@@ -83,17 +95,10 @@ class LinearMap:
         self.shape = (int(m), int(n))
         self.p = slots.size
         self.slots = slots
-        if not isinstance(self, SamplingMask):
-            # built once, on the slots checked above, and never re-checked;
-            # read-only after this, so pool threads may share it
-            self._sampling = object.__new__(SamplingMask)
-            vars(self._sampling).update(shape=self.shape, p=self.p, slots=slots)
-
-    @property
-    def sampling(self) -> "SamplingMask":
-        """P_Omega alone: the SamplingMask on these slots, the same object on
-        every access, and the operator itself for a mask."""
-        return self._sampling
+        if not isinstance(self, SamplingMask):  # a mask is its own `sampling`
+            # P_Omega alone: built once, and read-only after this, so pool
+            # threads may share it
+            self.sampling = _Sampling(self)
 
     @classmethod
     def _from_slots(cls, m: int, n: int, slots) -> "LinearMap":
@@ -151,7 +156,13 @@ class LinearMap:
             raise ValueError(f"matrix shape {x.shape} does not match operator domain {self.shape}")
         return x
 
-    transform = inverse = staticmethod(lambda x: x)
+    def transform(self, x) -> np.ndarray:
+        """T(X) = U X V^T; X itself for the identity."""
+        return x if self.uv is None else self.uv[0] @ x @ self.uv[1].T
+
+    def inverse(self, y) -> np.ndarray:
+        """T^-1(Y) = U^T Y V; Y itself for the identity."""
+        return y if self.uv is None else self.uv[0].T @ y @ self.uv[1]
 
     def apply(self, x) -> np.ndarray:
         """A(X): T(X) read at the slots, a length-p vector."""
@@ -168,7 +179,7 @@ class LinearMap:
     def observed(self) -> np.ndarray | None:
         """Boolean m x n array, True at the entries A reads; None when T is not
         the identity, since a transform's slots observe no entry by itself."""
-        if self.transform is not LinearMap.transform:
+        if self.uv is not None:
             return None
         obs = np.zeros(self.shape[0] * self.shape[1], dtype=bool)
         obs[self.slots] = True
@@ -210,22 +221,30 @@ class SamplingMask(LinearMap):
         return self.slots % self.shape[1]
 
 
+class _Sampling(SamplingMask):
+    """The SamplingMask on slots an operator has checked, shared unchecked."""
+
+    def __init__(self, a: LinearMap):
+        self.shape, self.p, self.slots = a.shape, a.p, a.slots
+
+
 class PartialDct2D(LinearMap):
-    """Restriction of the orthonormal 2-D type-II DCT to p kept coefficients,
-    `kept` indexing the flattened m x n coefficient grid row-major;
-    index-file lines hold one such index."""
+    """Restriction of the orthonormal 2-D type-II DCT, T(X) = C_m X C_n^T, to
+    p kept coefficients, `kept` indexing the flattened m x n coefficient grid
+    row-major; index-file lines hold one such index."""
 
     columns = ("kept",)
     file_kind = "DCT-keep"
     stream = "freqs"
     has_dc = True
 
+    def __init__(self, m: int, n: int, kept):
+        super().__init__(m, n, kept)
+        self.uv = tuple(map(_dct_matrix, self.shape))
+
     @property
     def kept(self) -> np.ndarray:
         return self.slots
-
-    transform = staticmethod(partial(fft.dctn, norm="ortho"))
-    inverse = staticmethod(partial(fft.idctn, norm="ortho"))
 
 
 OPERATORS = {"mask": SamplingMask, "dct": PartialDct2D}

@@ -1142,6 +1142,30 @@ class TestMainEntry:
         assert code == 1
         assert "solver failure" in capsys.readouterr().err
 
+    def test_runs_without_scipy(self, tmp_path):
+        # the package needs numpy alone: with scipy made unimportable, the
+        # CLI imports and runs a partial-DCT recovery, and loads no scipy
+        # module (scipy serves only the tests and the benchmark)
+        import subprocess
+        from pathlib import Path
+
+        import tnnr
+        code = f"""if True:
+            import sys
+            sys.modules["scipy"] = None
+            from tnnr.cli import main
+            code = main(["dct-synth", "--m", "12", "--n", "12", "--rank", "1", "--sr", "0.6",
+                         "--trials", "1", "--out", {str(tmp_path / "o")!r}])
+            loaded = [m for m, mod in sys.modules.items() if m.startswith("scipy") and mod]
+            sys.exit(f"scipy modules loaded: {{loaded}}" if loaded else code)"""
+        src = str(Path(tnnr.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert read_csv(tmp_path / "o" / "metrics.csv")
+
 
 @pytest.fixture
 def blas_threads():

@@ -479,7 +479,7 @@ class TestStepGenerators:
         calls = []
 
         def counted(f):
-            return staticmethod(lambda x: calls.append(f) or f(x))
+            return lambda self, x: calls.append(f) or f(self, x)
 
         for attr in ("transform", "inverse"):
             monkeypatch.setattr(PartialDct2D, attr, counted(getattr(PartialDct2D, attr)))
