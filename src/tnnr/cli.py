@@ -102,23 +102,23 @@ class ExperimentConfig:
     keep_dc: bool = _setting(False, "keep the DC coefficient", operators=("dct",),
                              replaced_by=("keep_file",))
     solver: str = _setting("admm", "inner solver", choices=INNER_SOLVERS)
-    kappa_mode: str = _setting("synthetic", "heuristic that sets kappa if kappa is unset",
+    kappa_mode: str = _setting(SveConfig.kappa_mode, "heuristic that sets kappa if kappa is unset",
                                choices=("real", "synthetic"), replaced_by=("kappa",))
-    kappa: float | None = _setting(None, "explicit jump threshold")
-    kappa_s: float = _setting(1.0, "scale s of the heuristic threshold", replaced_by=("kappa",))
-    max_outer: int = _setting(10, "cap on rank-estimation stages")
-    stability: int = _setting(2, "equal consecutive estimates that end the stages")
+    kappa: float | None = _setting(SveConfig.kappa, "explicit jump threshold")
+    kappa_s: float = _setting(SveConfig.s, "scale s of the heuristic threshold", replaced_by=("kappa",))
+    max_outer: int = _setting(SveConfig.max_outer, "cap on rank-estimation stages")
+    stability: int = _setting(SveConfig.stability, "equal consecutive estimates that end the stages")
     delta: float | None = _setting(None, "ball radius (unset: std * sqrt(p))",
                                    solvers=("admm", "admmap"))
-    mu: float = _setting(1.0, "data-fit weight of the penalized model", solvers=("apgl",))
-    beta: float | None = _setting(None, "ADMM penalty (admmap: its starting value) in units "
-                                  "of 1/c, c = ||b||/sqrt(p) (unset: "
+    mu: float = _setting(SolverConfig.mu, "data-fit weight of the penalized model", solvers=("apgl",))
+    beta: float | None = _setting(SolverConfig.beta, "ADMM penalty (admmap: its starting value) "
+                                  "in units of 1/c, c = ||b||/sqrt(p) (unset: "
                                   f"{ADMM_BETA:g} for admm, {ADMMAP_BETA0:g} for admmap)",
                                   solvers=("admm", "admmap"))
-    inner_tol: float = _setting(1e-4, "stop tolerance of an inner solve")
-    outer_tol: float = _setting(1e-2, "stop tolerance across truncation-pair refits")
-    max_inner_iters: int = _setting(5000, "iteration cap of an inner solve")
-    max_refit_iters: int = _setting(30, "refit cap of a stage")
+    inner_tol: float = _setting(SolverConfig.inner_tol, "stop tolerance of an inner solve")
+    outer_tol: float = _setting(SolverConfig.outer_tol, "stop tolerance across truncation-pair refits")
+    max_inner_iters: int = _setting(SolverConfig.max_inner_iters, "iteration cap of an inner solve")
+    max_refit_iters: int = _setting(SolverConfig.max_refit_iters, "refit cap of a stage")
     trials: int = _setting(1, "number of independent trials")
     seed: int = _setting(0, "base RNG seed (trial i uses seed + i)")
     out: str = _setting("out", "output directory")

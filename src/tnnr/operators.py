@@ -250,21 +250,17 @@ class PartialDct2D(LinearMap):
 OPERATORS = {"mask": SamplingMask, "dct": PartialDct2D}
 
 
-def project_ball(a: LinearMap, y, b, delta: float) -> np.ndarray:
-    """Project Y onto {X : ||A(X) - b|| <= delta} (exact for A A* = I).
+def _nearest_in_ball(v: np.ndarray, delta: float) -> np.ndarray:
+    """The point of the delta-ball around 0 nearest v (0 for delta = 0)."""
+    nv = _norm(v)
+    return v * (delta / nv) if nv > delta else v
 
-    Uses Y + (eta / (eta + 1)) A*(b - A(Y)) with
-    eta = max(||A(Y) - b|| / delta - 1, 0); delta = 0 is the exact-constraint
-    branch Y + A*(b - A(Y)).
-    """
+
+def project_ball(a: LinearMap, y, b, delta: float) -> np.ndarray:
+    """Project Y onto {X : ||A(X) - b|| <= delta} (exact for A A* = I) as
+    Y + A*(P(r) - r), r = A(Y) - b and P(r) = `_nearest_in_ball(r, delta)`:
+    Y + A*(b - A(Y)) at delta = 0, and Y's values for a Y inside the ball."""
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    y = a._check_domain(y)
-    b = _as_measurement(b, a.p)
-    resid = b - a.apply(y)
-    if delta == 0:
-        return y + a.adjoint(resid)
-    eta = max(_norm(resid) / delta - 1.0, 0.0)
-    if eta == 0:
-        return y
-    return y + (eta / (eta + 1.0)) * a.adjoint(resid)
+    r = a.apply(y) - _as_measurement(b, a.p)
+    return y + a.adjoint(_nearest_in_ball(r, delta) - r)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import TruncationPair, _check_rank_arg, _shrink_factors, nuclear_norm, truncation_pair
-from .operators import LinearMap, _as_measurement, _norm, project_ball
+from .operators import LinearMap, _as_measurement, _nearest_in_ball, _norm, project_ball
 from .sve import SveConfig, SveProfile, estimate_rank
 
 __all__ = [
@@ -168,10 +168,14 @@ def _check_divergence(obj: float, obj_ref: float, trace: StageTrace, name: str) 
 def _normalized(a: LinearMap, b, cfg: SolverConfig) -> tuple[float, np.ndarray, SolverConfig]:
     """The data scale c = ||b||/sqrt(p) (1 for b = 0), b/c and cfg in the
     units of b/c: delta/c, and mu*c, which keeps the penalized model's
-    minimizer at X/c. beta is set in these units already."""
+    minimizer at X/c. beta is set in these units already. delta/c is capped at
+    the float maximum, a ball that holds all the data reach, while a mu*c
+    outside (0, inf) is an error: a capped mu would weigh another model."""
     b = _as_measurement(b, a.p)
     c = _norm(b) / math.sqrt(a.p) or 1.0
-    return c, b / c, replace(cfg, delta=cfg.delta / c, mu=cfg.mu * c)
+    if not 0 < (mu := cfg.mu * c) < math.inf:
+        raise ValueError(f"mu*c = {mu:g} is outside (0, inf) for mu={cfg.mu:g}, c={c:g}")
+    return c, b / c, replace(cfg, delta=min(cfg.delta / c, np.finfo(float).max), mu=mu)
 
 
 def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
@@ -256,7 +260,7 @@ def tnnr_admm(a: LinearMap, b, pair: TruncationPair, cfg: SolverConfig | None = 
     min ||X||_* - Tr(L X R^T) s.t. ||A(X) - b|| <= cfg.delta.
 
     Iterates X <- shrink(Y + Z/beta, 1/beta), X^ <- ALPHA X + (1 - ALPHA) Y,
-    Y <- P_ball(X^ + (L^T R - Z)/beta), Z <- Z - beta (X^ - Y) on the
+    Y <- project_ball(X^ + (L^T R - Z)/beta), Z <- Z - beta (X^ - Y) on the
     normalized data b/c, with beta = cfg.beta or ADMM_BETA in units of 1/c:
     ADMM over-relaxed by ALPHA (Eckstein and Bertsekas 1992; Boyd et al.
     2011, section 3.4.3), where the primal residual X - Y is still the gap.
@@ -303,12 +307,6 @@ def tnnr_apgl(a: LinearMap, b, pair: TruncationPair, cfg: SolverConfig | None = 
     return _iterate("tnnr_apgl", _apgl_steps, a, b, pair, cfg or SolverConfig(), carry)
 
 
-def _nearest_in_ball(v: np.ndarray, delta: float) -> np.ndarray:
-    """The point of the delta-ball around 0 nearest v (0 for delta = 0)."""
-    nv = float(np.linalg.norm(v))
-    return v * (delta / nv) if nv > delta else v
-
-
 def _admmap_steps(a, b, g, x, cfg, start=None):
     if start:
         y, z11, z22, xi = start["Y"], start["z11"], start["z22"], start["xi"]
@@ -350,9 +348,9 @@ def tnnr_admmap(a: LinearMap, b, pair: TruncationPair, cfg: SolverConfig | None 
     into one block equation P(X) + Q(Y) = C, whose Y-subproblem normal
     equation (I + A*A) Y = RHS is solved in closed form through the
     tight-frame inverse identity. The multiplier block Z has only its (1,1)
-    and (2,2) blocks active; the slack xi (measurement space) is updated by
-    projection onto the cfg.delta-ball, which keeps it at zero for the
-    equality model (delta = 0). The penalty starts at cfg.beta or
+    and (2,2) blocks active; the slack xi (measurement space) is the point
+    of the cfg.delta-ball nearest its argument (project_ball's P), so 0 for
+    the equality model (delta = 0). The penalty starts at cfg.beta or
     ADMMAP_BETA0, in units of 1/c as for tnnr_admm, and grows by RHO0, up to
     BETA_MAX, whenever the scaled iterate change drops below EPS_ADAPT.
     Given a nonempty `carry` (see `_iterate`), the solve starts from the last

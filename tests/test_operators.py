@@ -10,6 +10,7 @@ from tnnr.operators import (
     PartialDct2D,
     SamplingMask,
     _dct_matrix,
+    _nearest_in_ball,
     _norm,
     project_ball,
 )
@@ -272,6 +273,37 @@ class TestProjectBall:
         op = SamplingMask(1, 1, [0], [0])
         with pytest.raises(ValueError):
             project_ball(op, np.zeros((1, 1)), np.zeros(1), -1.0)
+
+    @pytest.mark.parametrize("kind", ["mask", "dct"])
+    def test_bad_y_or_b_rejected(self, kind):
+        # Y is checked by the operator's apply alone
+        op = random_operator(kind, 4, 5, 0.5, 5)
+        y, b = np.zeros((4, 5)), np.zeros(op.p)
+        for bad_y, bad_b in ((np.zeros((5, 4)), b), (np.where(np.eye(4, 5), np.nan, y), b),
+                             (y, np.full(op.p, np.inf)), (y, np.zeros(op.p + 1))):
+            with pytest.raises(ValueError):
+                project_ball(op, bad_y, bad_b, 0.5)
+
+    @pytest.mark.parametrize("kind", ["mask", "dct"])
+    def test_matches_the_eta_formula_outside_the_ball(self, kind):
+        # the reference: Y + (eta/(eta+1)) A*(b - A(Y)), eta = ||A(Y) - b||/delta - 1
+        rng = np.random.default_rng(11)
+        op = random_operator(kind, 7, 7, 0.5, 5)
+        for delta in (0.3, 2.0):
+            y = 3 * rng.standard_normal((7, 7))
+            b = rng.standard_normal(op.p)
+            resid = b - op.apply(y)
+            eta = np.linalg.norm(resid) / delta - 1.0
+            assert eta > 0
+            ref = y + (eta / (eta + 1.0)) * op.adjoint(resid)
+            out = project_ball(op, y, b, delta)
+            assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_nearest_in_ball_at_extreme_scales(self, scale):
+        # ||v|| = 2 scale: its square overflows or underflows, its scaled norm does not
+        v = np.full(4, scale)
+        np.testing.assert_allclose(_nearest_in_ball(v, scale), v / 2, rtol=1e-15)
 
     def test_negative_alpha_rejected(self):
         op = SamplingMask(1, 1, [0], [0])

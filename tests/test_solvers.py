@@ -801,6 +801,24 @@ class TestScaleFree:
             fired.append(info.value.trace.total_inner_iters)
         assert len(set(fired)) == 1
 
+    @pytest.mark.parametrize("inner", ["admm", "admmap"])
+    def test_ball_beyond_the_float_range_holds_every_point(self, inner):
+        # delta/c = 1e10 / 1e-300 overflows: the ball is capped at the float
+        # maximum, where it still holds x = 0, the answer
+        a = SamplingMask(4, 4, *np.divmod(np.arange(12), 4))
+        x, trace = SOLVERS[inner][0](a, np.full(12, 1e-300), TruncationPair.empty(4, 4),
+                                     SolverConfig(delta=1e10))
+        assert trace.converged
+        assert not x.any()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_weight_beyond_the_float_range_is_named(self, scale):
+        # mu*c overflows to inf or underflows to 0; the error names the
+        # product and its factors, not a value the caller never gave
+        a = SamplingMask(4, 4, *np.divmod(np.arange(12), 4))
+        with pytest.raises(ValueError, match=r"mu\*c = .* for mu=.*, c="):
+            tnnr_apgl(a, np.full(12, scale), TruncationPair.empty(4, 4), SolverConfig(mu=scale))
+
 
 class TestDefaultStop:
     def test_last_refit_is_near_its_optimum(self):
