@@ -168,9 +168,9 @@ def _check_divergence(obj: float, obj_ref: float, trace: StageTrace, name: str) 
 def _normalized(a: LinearMap, b, cfg: SolverConfig) -> tuple[float, np.ndarray, SolverConfig]:
     """The data scale c = ||b||/sqrt(p) (1 for b = 0), b/c and cfg in the
     units of b/c: delta/c, and mu*c, which keeps the penalized model's
-    minimizer at X/c. beta is set in these units already. delta/c is capped at
-    the float maximum, a ball that holds all the data reach, while a mu*c
-    outside (0, inf) is an error: a capped mu would weigh another model."""
+    minimizer at X/c. beta is set in these units already. delta/c is capped
+    at the float maximum, a ball that still holds every point the data reach;
+    a mu*c outside (0, inf) is an error, as a capped mu weighs another model."""
     b = _as_measurement(b, a.p)
     c = _norm(b) / math.sqrt(a.p) or 1.0
     if not 0 < (mu := cfg.mu * c) < math.inf:
