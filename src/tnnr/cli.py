@@ -279,15 +279,6 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _metrics_row(**values) -> dict:
-    """A metrics.csv row by column name; the columns not given stay empty."""
-    return dict(dict.fromkeys(METRICS_COLUMNS), **values)
-
-
-def _write_metrics(path, rows) -> None:
-    _write_csv(path, METRICS_COLUMNS, ([row[c] for c in METRICS_COLUMNS] for row in rows))
-
-
 def _worker_count(trials: int) -> int:
     cap = os.environ.get("LOWRANK_THREADS")
     try:
@@ -412,7 +403,7 @@ def _trial_rows(plan: _Plan, trial: _Trial, solved: list[dict]):
         traces = [t for run in runs for t in run]
         trace_rows.extend((trial.seed, method, *row) for t in traces for row in t.rows())
         sve_rows.extend(_sve_rows(trial.seed, method, traces))
-        metrics.append(_metrics_row(
+        metrics.append(dict(
             experiment=cfg.command, seed=trial.seed, method=method, operator=cfg.operator,
             solver=cfg.solver, m=m, n=n, true_r=cfg.rank, sr=trial.a.p / (m * n),
             std=cfg.std, kappa=kappa,
@@ -519,17 +510,15 @@ def emit_plot_data(files, out_dir) -> None:
     if metric_rows:
         _emit_median_series(metric_rows, "std", out / "reer_vs_std.csv")
         _emit_median_series(metric_rows, "sr", out / "reer_vs_sr.csv")
-        rank_rows = [(r["true_r"], r["rank_recovered"], r["seed"], r["method"])
-                     for r in metric_rows if r.get("true_r") and r.get("rank_recovered")]
-        rank_rows.sort(key=lambda t: (float(t[0]), int(t[2]), t[3]))
-        _write_csv(out / "rank_recovery.csv",
-                   ("true_r", "recovered_r", "seed", "method"), rank_rows)
+        ranked = sorted((r for r in metric_rows if r.get("true_r") and r.get("rank_recovered")),
+                        key=lambda r: (float(r["true_r"]), int(r["seed"]), r["method"]))
+        _write_csv(out / "rank_recovery.csv", ("true_r", "recovered_r", "seed", "method"),
+                   [(r["true_r"], r["rank_recovered"], r["seed"], r["method"]) for r in ranked])
     if sve_rows:
-        rows = [(r["seed"], r["method"], r["stage"], r["index"], r["Stt"])
-                for r in sve_rows if r["Stt"] != ""]
-        rows.sort(key=lambda t: (int(t[0]), t[1], int(t[2]), int(t[3])))
-        _write_csv(out / "stt_vs_index.csv",
-                   ("seed", "method", "stage", "index", "Stt"), rows)
+        columns = ("seed", "method", "stage", "index", "Stt")
+        stt = sorted((r for r in sve_rows if r["Stt"] != ""), key=lambda r: (
+            int(r["seed"]), r["method"], int(r["stage"]), int(r["index"])))
+        _write_csv(out / "stt_vs_index.csv", columns, ([r[c] for c in columns] for r in stt))
 
 
 def _emit_median_series(rows, x_field, path) -> None:
@@ -577,8 +566,9 @@ def run(cfg: ExperimentConfig) -> int:
                 yield from ((trial, c) for c in range(channels))
 
         def solve(unit):
-            trial = unit[0].result()
-            return trial, _solve_channel(plan, trial, unit[1])
+            set_up, channel = unit
+            trial = set_up.result()
+            return trial, _solve_channel(plan, trial, channel)
 
         solved = pool.map(solve, units())
         # map yields in unit order: each trial is scored and written, and its
@@ -588,7 +578,8 @@ def run(cfg: ExperimentConfig) -> int:
             results.append(_trial_rows(plan, trials[0], channels_solved))
     metrics, traces, sves, timings = ([row for rows in part for row in rows]
                                       for part in zip(*results))
-    _write_metrics(out / "metrics.csv", metrics)
+    _write_csv(out / "metrics.csv", METRICS_COLUMNS,
+               ([row.get(c) for c in METRICS_COLUMNS] for row in metrics))
     _write_csv(out / "trace.csv", TRACE_COLUMNS, traces)
     _write_csv(out / "sve.csv", SVE_COLUMNS, sves)
     _write_csv(out / "timings.csv", TIMINGS_COLUMNS,

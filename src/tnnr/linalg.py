@@ -128,10 +128,10 @@ def _shrink_factors(x: np.ndarray, tau: float,
     padded with zeros to min(m, n).
 
     Works from the eigendecomposition of the smaller Gram matrix G of x / c,
-    c = max |x_ij| (`_scaled_gram`). Where ||G||_F <= (tau / c)^2, no
-    eigensolver runs: every sigma_i^2 / c^2 <= ||G||_2 <= ||G||_F, so no
-    value clears the threshold and the result is +0.0 throughout. Otherwise
-    only the eigenpairs with sigma_i > tau enter the result, and the
+    c = max |x_ij| or 1 (`_scaled_gram`). Where ||G||_F <= (tau / c)^2, x = 0
+    included, no eigensolver runs: every sigma_i^2 / c^2 <= ||G||_2 <= ||G||_F,
+    so no value clears the threshold and the result is +0.0 throughout.
+    Otherwise only the eigenpairs with sigma_i > tau enter the result, and the
     projector V V^T does not depend on eigenvector signs. The Gram route
     resolves sigma_i^2 to about eps * sigma_1^2, so the result is accurate to
     about eps * sigma_1 / tau relative to sigma_1; below tau = 1e-6 * sigma_1
@@ -145,9 +145,7 @@ def _shrink_factors(x: np.ndarray, tau: float,
     """
     m, n = x.shape
     q = min(m, n)
-    c = float(np.max(np.abs(x)))
-    if c == 0.0:
-        return np.zeros_like(x), np.zeros(q)
+    c = float(np.max(np.abs(x))) or 1.0
     xs, gram = _scaled_gram(x, c)
     t = tau / c
     if np.linalg.norm(gram) <= t * t:

@@ -34,12 +34,17 @@ def _as_measurement(y, p: int) -> np.ndarray:
     return y
 
 
-def _norm(v) -> float:
-    """np.linalg.norm(v), taken on v scaled by the power of two that brings
-    its largest entry into [1/2, 1), so that its squares neither overflow nor
-    underflow: bit for bit np.linalg.norm(v) wherever that does neither."""
+def _norm_parts(v, over=(1.0, 0)) -> tuple[float, int]:
+    """(n, e) with np.linalg.norm(v) / (d 2^f) = n 2^e, (d, f) = over: the norm of
+    v scaled by the power of two that brings its largest entry into [1/2, 1),
+    where squares neither overflow nor underflow, over d before 2^e is put back."""
     e = math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
-    return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
+    return float(np.linalg.norm(np.ldexp(v, -e))) / over[0], e - over[1]
+
+
+def _norm(v) -> float:
+    """np.linalg.norm(v), bit for bit wherever that neither overflows nor underflows."""
+    return float(np.ldexp(*_norm_parts(v)))
 
 
 @cache

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import TruncationPair, _check_rank_arg, _shrink_factors, nuclear_norm, truncation_pair
-from .operators import LinearMap, _as_measurement, _nearest_in_ball, _norm, project_ball
+from .operators import LinearMap, _as_measurement, _nearest_in_ball, _norm_parts, project_ball
 from .sve import SveConfig, SveProfile, estimate_rank
 
 __all__ = [
@@ -159,12 +159,6 @@ def momentum_step(tau: float) -> float:
     return (1.0 + math.sqrt(1.0 + 4.0 * tau * tau)) / 2.0
 
 
-def _check_divergence(obj: float, obj_ref: float, trace: StageTrace, name: str) -> None:
-    if not np.isfinite(obj) or obj > 1e6 * max(obj_ref, 1.0):
-        raise SolverDivergence(f"{name} diverged at iteration {len(trace.k)}: "
-                               f"objective {trace.objective[-1]:.3e}", trace)
-
-
 def _normalized(a: LinearMap, b, cfg: SolverConfig) -> tuple[float, np.ndarray, SolverConfig]:
     """The data scale c = ||b||/sqrt(p) (1 for b = 0), b/c and cfg in the
     units of b/c: delta/c, and mu*c, which keeps the penalized model's
@@ -172,7 +166,7 @@ def _normalized(a: LinearMap, b, cfg: SolverConfig) -> tuple[float, np.ndarray, 
     at the float maximum, a ball that still holds every point the data reach;
     a mu*c outside (0, inf) is an error, as a capped mu weighs another model."""
     b = _as_measurement(b, a.p)
-    c = _norm(b) / math.sqrt(a.p) or 1.0
+    c = math.ldexp(*_norm_parts(b, (math.sqrt(a.p), 0))) or 1.0
     if not 0 < (mu := cfg.mu * c) < math.inf:
         raise ValueError(f"mu*c = {mu:g} is outside (0, inf) for mu={cfg.mu:g}, c={c:g}")
     return c, b / c, replace(cfg, delta=min(cfg.delta / c, np.finfo(float).max), mu=mu)
@@ -226,7 +220,9 @@ def _iterate(name: str, steps, a: LinearMap, b, pair: TruncationPair,
         trace.record(1, k, c * obj, c * resid, beta / c)
         if obj_ref is None:
             obj_ref = obj
-        _check_divergence(obj, obj_ref, trace, name)
+        if not np.isfinite(obj) or obj > 1e6 * max(obj_ref, 1.0):
+            raise SolverDivergence(f"{name} diverged at iteration {k}: "
+                                   f"objective {trace.objective[-1]:.3e}", trace)
         change = float(np.linalg.norm(x_new - x, "fro") ** 2) / denom
         x = x_new
         if change <= cfg.inner_tol and gap / denom <= cfg.inner_tol:
@@ -403,14 +399,14 @@ def solve_with_rank(a: LinearMap, b, r: int, inner: str = "admm",
     if r == 0:
         x, trace = _run_inner(inner, s, b, TruncationPair.empty(*a.shape), cfg)
         return a.inverse(x), trace
-    b_norm = _norm(b) or 1.0
+    b_norm = _norm_parts(b) if b.any() else (1.0, 0)
     stage_trace = StageTrace(rank=r)
     carry = {}
     for l in range(1, cfg.max_refit_iters + 1):
         pair = truncation_pair(x_l, r)
         x_next, t = _run_inner(inner, s, b, pair, cfg, carry)
         stage_trace.absorb(t, l)
-        change = (_norm(x_next - x_l) / b_norm) ** 2
+        change = math.ldexp(*_norm_parts(x_next - x_l, b_norm)) ** 2
         stage_trace.l_change.append(change)
         x_l = x_next
         if change <= cfg.outer_tol:
@@ -449,8 +445,7 @@ def lrisd_stages(a: LinearMap, b, inner: str = "admm", sve_cfg: SveConfig | None
                    if min(a.shape) >= 3 else None)
         yield x, trace, profile
         estimates.append(profile.r_hat if profile else 0)  # None keeps stage 0, as 0 does
-        if (stage == sve_cfg.max_outer or estimates == [0]
-                or estimates[-sve_cfg.stability:] == estimates[-1:] * sve_cfg.stability):
+        if estimates == [0] or estimates[-sve_cfg.stability:] == estimates[-1:] * sve_cfg.stability:
             return
 
 

@@ -1,14 +1,17 @@
 import csv
 import os
 import re
+import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tnnr
 from tnnr.cli import (
     COMMANDS,
     _SETTINGS,
@@ -1104,6 +1107,14 @@ class TestWorkerCount:
         assert len(read_csv(out / "metrics.csv")) == 4
 
 
+def _python(*args):
+    """A Python subprocess run on args, with this package importable."""
+    src = str(Path(tnnr.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestMainEntry:
     def test_compare_via_argv(self, tmp_path):
         out = tmp_path / "viaargv"
@@ -1142,14 +1153,22 @@ class TestMainEntry:
         assert code == 1
         assert "solver failure" in capsys.readouterr().err
 
+    def test_python_m_tnnr_runs_a_command(self, tmp_path):
+        # the module entry point (src/tnnr/__main__.py) that the README documents
+        done = _python("-m", "tnnr", "compare", "--m", "6", "--n", "6", "--rank", "1",
+                       "--sr", "0.8", "--max-inner-iters", "50", "--out", str(tmp_path / "o"))
+        assert done.returncode == 0, done.stderr
+        assert read_csv(tmp_path / "o" / "metrics.csv")
+
+    def test_python_m_tnnr_without_arguments_prints_the_usage(self):
+        done = _python("-m", "tnnr")
+        assert done.returncode == 2
+        assert done.stderr.startswith("usage: tnnr ")
+
     def test_runs_without_scipy(self, tmp_path):
         # the package needs numpy alone: with scipy made unimportable, the
         # CLI imports and runs a partial-DCT recovery, and loads no scipy
         # module (scipy serves only the tests and the benchmark)
-        import subprocess
-        from pathlib import Path
-
-        import tnnr
         code = f"""if True:
             import sys
             sys.modules["scipy"] = None
@@ -1158,11 +1177,7 @@ class TestMainEntry:
                          "--trials", "1", "--out", {str(tmp_path / "o")!r}])
             loaded = [m for m, mod in sys.modules.items() if m.startswith("scipy") and mod]
             sys.exit(f"scipy modules loaded: {{loaded}}" if loaded else code)"""
-        src = str(Path(tnnr.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
+        done = _python("-c", code)
         assert done.returncode == 0, done.stderr
         assert read_csv(tmp_path / "o" / "metrics.csv")
 

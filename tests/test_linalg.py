@@ -288,10 +288,12 @@ class TestEigensolverRoute:
     @pytest.mark.parametrize("shape", [(6, 9), (9, 6), (1, 5), (5, 1)])
     @pytest.mark.parametrize("subset", [False, True])
     @pytest.mark.parametrize("factor", [1.000001, 1.1, 1e3])
-    def test_certified_empty_shrink_runs_no_eigensolver(self, shape, subset, factor):
+    @pytest.mark.parametrize("scale", [1.0, 0.0])
+    def test_certified_empty_shrink_runs_no_eigensolver(self, shape, subset, factor, scale):
         # (tau / c)^2 >= ||G||_F bounds every sigma_i^2 / c^2: +0.0 zeros
-        # come back on both routes before any decomposition
-        x = np.random.default_rng(26).standard_normal(shape)
+        # come back on both routes before any decomposition; so they do for
+        # x = 0 (+0.0 and -0.0 entries, c = 1) at tau = 0
+        x = scale * np.random.default_rng(26).standard_normal(shape)
         tau = factor * np.sqrt(np.linalg.norm(x.T @ x if shape[0] > shape[1] else x @ x.T))
         prev = np.zeros(min(shape)) if subset else None
         with mock.patch.object(linalg, "_dsyevr") as partial, \

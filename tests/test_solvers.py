@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 import weakref
 from unittest import mock
 
@@ -810,6 +811,32 @@ class TestScaleFree:
                                      SolverConfig(delta=1e10))
         assert trace.converged
         assert not x.any()
+
+    @pytest.mark.parametrize("inner", ["admm", "admmap", "apgl"])
+    def test_data_norm_past_the_float_maximum(self, inner):
+        # ||b|| = sqrt(12) 1e308 overflows, but the scale c, its RMS, does
+        # not: c is taken as a quotient before its power of two is put back
+        a = SamplingMask(4, 4, *np.divmod(np.arange(12), 4))
+        b = np.full(12, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, _ = SOLVERS[inner][0](a, b, TruncationPair.empty(4, 4))
+        assert np.isfinite(x).all()
+        assert np.linalg.norm((a.apply(x) - b) / 1e308) <= 1e-15 * np.linalg.norm(b / 1e308)
+
+    def test_refits_past_the_float_maximum(self):
+        # the refits' change ||X_l+1 - X_l|| / ||b|| is one quotient, too:
+        # 1e308 b1 gives 1e308 times b1's recovery, refit for refit
+        a = SamplingMask(4, 4, *np.divmod(np.arange(12), 4))
+        b1 = np.abs(np.random.default_rng(3).standard_normal(12)) + 1
+        b1 /= b1.max()
+        assert np.linalg.norm(b1) > np.finfo(float).max / 1e308  # ||1e308 b1|| overflows
+        x1, ref = solve_with_rank(a, b1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, trace = solve_with_rank(a, 1e308 * b1, 1)
+        assert trace.inner_iters == ref.inner_iters
+        np.testing.assert_allclose(x / 1e308, x1, rtol=0, atol=1e-14 * np.abs(x1).max())
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_weight_beyond_the_float_range_is_named(self, scale):
