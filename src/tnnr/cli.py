@@ -3,18 +3,24 @@ estimation traces, and baseline-vs-multistage comparisons.
 
 `ExperimentConfig`'s fields are the one table of settings: each declares its
 default, its flag's help and options, and the commands, inner solvers and
-operators that read it. Each is a flag of every experiment command and a
-config-file key, and `_coerce` parses its value from either.
-`validate()` checks every field before a run writes anything, the same way
-from either source.
+operators that read it. Each is a flag of every experiment command, and
+`_coerce` parses its value. `validate()` checks every field before a run
+writes anything.
 
-Every run writes its resolved configuration, a metrics CSV (one row per
-seed and method), a per-iteration trace CSV and a rank-estimation profile
-CSV into the output directory; `complete` also writes the operator index
-file and the masked and recovered images of each trial. CSV outputs are
-byte-identical across re-runs with the same configuration and thread
-settings; wall-clock timings go to a separate timings.csv that is exempt
-from that guarantee.
+Every run writes its resolved configuration as `config.txt`, an argument
+file that `tnnr @DIR/config.txt [flags]` re-runs through the same parser,
+the flags after it overriding it. It holds one token per line: the command,
+then `--name=value` per set field, or a bare flag for a true bool. Each line
+is one whole token, `#` and surrounding whitespace included, and no line is
+a comment; validate() rejects a string value with a line break, which such a
+file cannot hold.
+
+A run also writes a metrics CSV (one row per seed and method), a
+per-iteration trace CSV and a rank-estimation profile CSV into the output
+directory; `complete` also writes the operator index file and the masked and
+recovered images of each trial. CSV outputs are byte-identical across
+re-runs with the same configuration and thread settings; wall-clock timings
+go to a separate timings.csv that is exempt from that guarantee.
 
 A run is one thread pool of (trial, channel) units: a synthetic trial has
 one channel, an image trial one per color channel. Each trial's set-up runs
@@ -83,8 +89,9 @@ _READERS = {"command": tuple(COMMANDS), "solver": INNER_SOLVERS, "operator": tup
 
 @dataclass
 class ExperimentConfig:
-    """One experiment run, serializable to a line-oriented key = value file.
-    Its fields after `command` are the table of settings (`_setting`)."""
+    """One experiment run; `to_file` writes it as the argv file that
+    `tnnr @FILE` re-runs. Its fields after `command` are the table of
+    settings (`_setting`)."""
 
     command: str = ""
     operator: str = _setting("dct", "measurement operator", choices=tuple(OPERATORS))
@@ -122,8 +129,11 @@ class ExperimentConfig:
     trials: int = _setting(1, "number of independent trials")
     seed: int = _setting(0, "base RNG seed (trial i uses seed + i)")
     out: str = _setting("out", "output directory")
-    adjust: int | None = _setting(None, "after estimation, search ranks within +/- W "
-                                  "(W = 2 if omitted)", ("complete", "dct-synth", "compare"),
+    adjust: int | None = _setting(None, "after estimation, solve at the ranks within +/- W "
+                                  "(W = 2 if omitted) and keep the recovery that scores best "
+                                  "against the ground truth (an oracle choice: reer against "
+                                  "X*, or complete's PSNR against the image)",
+                                  ("complete", "dct-synth", "compare"),
                                   nargs="?", const="2", metavar="W")
 
     def validate(self) -> "_Plan":
@@ -140,11 +150,9 @@ class ExperimentConfig:
                 fail(f.name, f"must be one of {choices}, got {value!r}")
             if _kind(f.type) is float and value is not None and not np.isfinite(value):
                 fail(f.name, f"must be finite, got {value}")
-            # config.txt must read back every value it records
-            if isinstance(value, str) and ("#" in value or value != value.strip()
-                                           or len(value.splitlines()) > 1):
-                fail(f.name, f"config.txt cannot hold '#', a line break or surrounding "
-                     f"whitespace, got {value!r}")
+            # config.txt holds each value on one line: splitlines drops a line break
+            if isinstance(value, str) and "".join(value.splitlines()) != value:
+                fail(f.name, f"config.txt cannot hold a line break, got {value!r}")
         # a given setting must be read: checked once every chooser holds a
         # valid value, so that a bad solver is named as such
         for f in _SETTINGS:
@@ -190,36 +198,21 @@ class ExperimentConfig:
                        max_outer=self.max_outer, stability=self.stability)
         return _Plan(self, solver, sve, spec)
 
-    # ---- text round trip -------------------------------------------------
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        types = {f.name: _kind(f.type) for f in fields(cls)}
-        kwargs = {}
-        try:
-            lines = Path(path).read_text().splitlines()
-        except OSError as e:
-            raise ValueError(f"config file {path}: {e}") from e
-        for lineno, raw in enumerate(lines, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config file {path} line {lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in types:
-                raise ValueError(f"config file {path} line {lineno}: unknown field '{key}'")
-            try:
-                kwargs[key] = _coerce(types[key], value)
-            except ValueError as e:
-                raise ValueError(f"config file {path} line {lineno}, field '{key}': {e}") from e
-        return cls(**kwargs)
-
     def to_file(self, path) -> None:
-        with open(path, "w") as f:
-            for fld in fields(self):
-                if getattr(self, fld.name) is not None:
-                    f.write(f"{fld.name} = {getattr(self, fld.name)}\n")
+        """Write the argv file that `tnnr @path` re-runs: the command, then a
+        line per set field, `--name=value` or a bare flag for a true bool."""
+        tokens = [self.command]
+        for f in _SETTINGS:
+            value, flag = getattr(self, f.name), _flag(f.name)
+            if _kind(f.type) is bool:
+                tokens += [flag] if value else []
+            elif value is not None:
+                tokens.append(f"{flag}={value}")
+        Path(path).write_text("".join(token + "\n" for token in tokens))
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _kind(annotation):
@@ -228,7 +221,7 @@ def _kind(annotation):
 
 
 def _coerce(kind, value: str):
-    """Parse a config value as its field's type."""
+    """Parse a flag's value as its field's type."""
     if kind is bool:
         if value.lower() in ("true", "1", "yes"):
             return True
@@ -610,23 +603,22 @@ def build_parser() -> argparse.ArgumentParser:
     ExperimentConfig field, plus plot-data."""
     parser = argparse.ArgumentParser(
         prog="tnnr",
-        description="Truncated-nuclear-norm low-rank recovery experiments.")
+        description="Truncated-nuclear-norm low-rank recovery experiments. @FILE stands "
+                    "for the arguments in FILE, one per line, as a run's config.txt holds them.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, summary in COMMANDS.items():
         p = sub.add_parser(command, help=summary)
-        p.add_argument("--config", help="key = value config file; flags override it")
         for f in _SETTINGS:
             help = f.metadata["help"]
             for chooser, every in _READERS.items():
                 if len(f.metadata[chooser]) < len(every):
                     help += f"; read by {', '.join(f.metadata[chooser])} only"
             # values stay strings, parsed by _coerce and checked by validate()
-            # as a config file's are
             options = ({"action": "store_const", "const": "true"} if _kind(f.type) is bool
                        else dict(f.metadata["flag"]))
             if choices := options.pop("choices", None):
                 options["metavar"] = "{" + ",".join(choices) + "}"
-            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=help, **options)
+            p.add_argument(_flag(f.name), dest=f.name, help=help, **options)
 
     p = sub.add_parser("plot-data", help="aggregate run CSVs into plot-ready series")
     p.add_argument("files", nargs="+", help="metrics.csv / sve.csv files")
@@ -635,12 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """The --config file's settings (or the defaults), overridden by the flags
-    given, each parsed as the file's value would be."""
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    if cfg.command not in ("", args.command):
-        raise ValueError(
-            f"config file command '{cfg.command}' conflicts with subcommand '{args.command}'")
+    """The config of the command and flags given, each value parsed by _coerce."""
     given = {}
     for f in _SETTINGS:
         if (value := getattr(args, f.name)) is not None:
@@ -648,25 +635,37 @@ def _config_from_args(args) -> ExperimentConfig:
                 given[f.name] = _coerce(_kind(f.type), value)
             except ValueError as e:
                 raise ValueError(f"config field '{f.name}': {e}") from None
-    return replace(cfg, command=args.command, **given)
+    return ExperimentConfig(command=args.command, **given)
 
 
 # Python 3.11's argparse drops the value '--' of `--name=--`; no argv token
-# can hold a NUL byte, so this stand-in carries that value through parsing
-_DASHES = "\0--"
+# can hold a NUL byte and no @FILE line a line break, so this stand-in
+# carries that value through parsing
+_DASHES = "\0\n--"
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv), where `--name=--` (a prefix of the
-    flag included, as argparse takes it) gives the option the value '--'."""
+    """build_parser().parse_args(argv), where an @FILE argument stands for
+    FILE's lines, one argument each (not expanded again), and `--name=--` (a
+    prefix of the flag included, as argparse takes it) gives the option the
+    value '--'. The arguments after a bare '--' are positional, kept as given."""
+    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    end = argv.index("--") if "--" in argv else len(argv)
+    tokens = []
+    for token in argv[:end]:
+        try:
+            tokens += Path(token[1:]).read_text().splitlines() if token[:1] == "@" else [token]
+        except OSError as e:
+            parser.error(str(e))
+    argv = tokens + argv[end:]
     for i, token in enumerate(argv):
         if token == "--":
-            break  # the tokens after a bare '--' are positional, kept as given
+            break
         name, _, value = token.partition("=")
         if name.startswith("-") and value == "--":
             argv[i] = f"{name}={_DASHES}"
-    args = build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     for name, value in vars(args).items():
         if value == _DASHES:
             setattr(args, name, "--")

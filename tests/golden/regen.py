@@ -4,7 +4,9 @@ Each run writes into a directory named after it, next to this file:
 - the CSVs a command writes, verbatim, with `trace.csv` replaced by
   `trace_digest.csv`: per (seed, method, stage, l), the row count and the
   sums of the objective, residual and beta columns
-- `config.txt`, with the run's paths replaced by their manifest placeholders
+- `config.txt`, with the run's paths replaced by their manifest placeholders;
+  `outputs(name, rerun=True)` makes the files again from it, by
+  `tnnr @config.txt --out {out}`
 - `stdout.txt`
 - `sha256.csv`: the digest of every other file, the operator files and images
 - for an `lrisd` library call, `stages.csv` (per stage: its rank, iteration
@@ -66,12 +68,20 @@ def _trace_digest(text: str) -> str:
                      [(*key, *digest) for key, digest in groups.items()])
 
 
-def _run_command(argv, work: Path) -> dict[str, str]:
+def _run_command(argv, work: Path, rerun: str | None = None) -> dict[str, str]:
     places = {"out": work / "out", "color": work / "color.ppm", "gray": work / "gray.pgm",
               "golden": GOLDEN}
     image = composite_image(0, size=32)
     save_image(image, places["color"])
     save_image(image[:1], places["gray"])
+    if rerun is not None:
+        # the committed config.txt of run `rerun`, its placeholders filled in,
+        # but for an output directory that the later --out overrides
+        text = (GOLDEN / rerun / "config.txt").read_text()
+        for name, place in (places | {"out": work / "overridden"}).items():
+            text = text.replace("{" + name + "}", str(place))
+        (work / "config.txt").write_text(text)
+        argv = ["@" + str(work / "config.txt"), "--out", "{out}"]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main([arg.format(**places) for arg in argv])
@@ -111,13 +121,15 @@ def _run_lrisd(spec) -> dict[str, str]:
             "x.csv": _csv_text([f"c{j}" for j in range(x.shape[1])], x.tolist())}
 
 
-def outputs(name: str) -> dict[str, str]:
-    """The golden files of the manifest's run `name`, as this code makes them."""
+def outputs(name: str, rerun: bool = False) -> dict[str, str]:
+    """The golden files of the manifest's run `name`, as this code makes them;
+    with `rerun`, as `tnnr @config.txt` makes them from its committed
+    config.txt."""
     config = CONFIGS[name]
     if "lrisd" in config:
         return _run_lrisd(config["lrisd"])
     with tempfile.TemporaryDirectory() as work:
-        return _run_command(config["argv"], Path(work))
+        return _run_command(config["argv"], Path(work), name if rerun else None)
 
 
 def main_regen(names) -> None:

@@ -47,7 +47,7 @@ def make_test_image(path, seed=0, size=24, color=True):
 
 
 class TestExperimentConfig:
-    def test_file_round_trip(self, tmp_path):
+    def test_argv_file_round_trip(self, tmp_path):
         cfg = ExperimentConfig(command="compare", operator="mask", m=30, n=30, rank=2,
                                sr=0.6, std=0.25, image="in.ppm", mask_file="mask.txt",
                                keep_file="keep.txt", keep_dc=True, solver="admmap",
@@ -61,26 +61,23 @@ class TestExperimentConfig:
                    for f in fields(ExperimentConfig))
         path = tmp_path / "cfg.txt"
         cfg.to_file(path)
-        loaded = ExperimentConfig.from_file(path)
-        assert loaded == cfg
+        assert path.read_text().splitlines()[:3] == ["compare", "--operator=mask", "--m=30"]
+        assert "--keep-dc" in path.read_text().splitlines()
+        assert _read_config(path) == cfg
 
-    def test_unknown_key_reports_path_and_field(self, tmp_path):
-        path = tmp_path / "cfg.txt"
-        path.write_text("command = compare\nwhatever = 3\n")
-        with pytest.raises(ValueError, match="whatever"):
-            ExperimentConfig.from_file(path)
+    def test_unknown_flag_in_a_file_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit, match="2"):
+            main([_argfile(tmp_path / "cfg.txt", "compare", "--whatever=3")])
+        assert "unrecognized arguments: --whatever=3" in capsys.readouterr().err
 
-    def test_bad_value_reports_field(self, tmp_path):
-        path = tmp_path / "cfg.txt"
-        path.write_text("trials = soon\n")
-        with pytest.raises(ValueError, match="trials"):
-            ExperimentConfig.from_file(path)
+    def test_bad_value_in_a_file_reports_field(self, tmp_path, capsys):
+        assert main([_argfile(tmp_path / "cfg.txt", "compare", "--trials=soon")]) == 2
+        assert "config field 'trials'" in capsys.readouterr().err
 
-    def test_comments_and_blanks(self, tmp_path):
-        path = tmp_path / "cfg.txt"
-        path.write_text("# a comment\n\ncommand = sve-trace  # trailing\nm = 10\n")
-        loaded = ExperimentConfig.from_file(path)
-        assert loaded.command == "sve-trace" and loaded.m == 10
+    def test_hash_lines_are_tokens_not_comments(self, tmp_path, capsys):
+        with pytest.raises(SystemExit, match="2"):
+            main([_argfile(tmp_path / "cfg.txt", "sve-trace", "# a comment", "--m=10")])
+        assert "unrecognized arguments: # a comment" in capsys.readouterr().err
 
     def test_validation_catches_inconsistencies(self):
         with pytest.raises(ValueError, match="image"):
@@ -111,18 +108,18 @@ class TestExperimentConfig:
             cfg.validate()
 
     @pytest.mark.parametrize("text, message", [
-        (None, "config file .*missing.txt: "),
-        ("seed 3\n", "config file .*c.txt line 1: expected 'key = value'"),
-        ("keep_dc = maybe\n",
-         "config file .*c.txt line 1, field 'keep_dc': expected a boolean, got 'maybe'"),
+        (None, r"\[Errno 2\] No such file or directory: '.*missing.txt'"),
+        ("--seed 3\n", "unrecognized arguments: --seed 3"),
+        ("--keep-dc=maybe\n", "argument --keep-dc: ignored explicit argument 'maybe'"),
     ])
-    def test_config_file_rejection_names_its_error(self, tmp_path, capsys, text, message):
+    def test_argv_file_rejection_names_its_error(self, tmp_path, capsys, text, message):
         path = tmp_path / ("missing.txt" if text is None else "c.txt")
         if text is not None:
             path.write_text(text)
         out = tmp_path / "o"
-        assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
-        assert re.search("error: " + message, capsys.readouterr().err)
+        with pytest.raises(SystemExit, match="2"):
+            main(["compare", "@" + str(path), "--out", str(out)])
+        assert re.search("tnnr.*: error: " + message, capsys.readouterr().err)
         assert not out.exists()
 
     def test_defaults_are_the_library_defaults(self):
@@ -147,15 +144,26 @@ def _argv_value(name, value):
     return [flag] if value is True else [f"{flag}={value}"]
 
 
+def _argfile(path, *tokens):
+    """Write `tokens` to `path`, one per line; returns the @FILE argument
+    that reads them."""
+    Path(path).write_text("".join(token + "\n" for token in tokens))
+    return "@" + str(path)
+
+
+def _read_config(path):
+    """The config that `tnnr @path` runs."""
+    return _config_from_args(_parse_args(["@" + str(path)]))
+
+
 class TestSettingsTable:
-    """Every setting is one ExperimentConfig field: flags and config files
-    give the same answer, and every check runs before a run writes anything."""
+    """Every setting is one ExperimentConfig field: flags on the command line
+    and in an @FILE give the same answer, and every check runs before a run
+    writes anything."""
 
     def test_complete_rejects_std_from_a_file(self, tmp_path, capsys):
-        config = tmp_path / "c.txt"
-        config.write_text("std = 0.5\n")
         out = tmp_path / "o"
-        code = main(["complete", "--config", str(config), "--operator", "mask",
+        code = main(["complete", _argfile(tmp_path / "c.txt", "--std=0.5"), "--operator", "mask",
                      "--image", str(make_test_image(tmp_path / "in.pgm", color=False)),
                      "--out", str(out)])
         assert code == 2
@@ -167,7 +175,7 @@ class TestSettingsTable:
         (["--kappa-s", "0"], "kappa_s"),
         (["--rank", "50"], "rank"),
         (["--sr", "1.5"], "sr"),
-        ("kappa_mode = foo\n", "kappa_mode"),
+        ("--kappa-mode=foo", "kappa_mode"),
         (["--stability", "1"], "stability"),
         (["--max-outer", "-1"], "max_outer"),
         (["--inner-tol", "0"], "inner_tol"),
@@ -179,8 +187,7 @@ class TestSettingsTable:
     ])
     def test_library_checks_run_before_any_write(self, tmp_path, capsys, given, field):
         if isinstance(given, str):
-            (tmp_path / "c.txt").write_text(given)
-            given = ["--config", str(tmp_path / "c.txt")]
+            given = [_argfile(tmp_path / "c.txt", given)]
         out = tmp_path / "o"
         code = main(["compare", "--m", "10", "--n", "10", "--rank", "1", *given,
                      "--out", str(out)])
@@ -206,7 +213,8 @@ class TestSettingsTable:
         out = tmp_path / "o"
         assert main(["sve-trace", "--m", "10", "--n", "10", "--rank", "1", "--stability", "3",
                      "--max-inner-iters", "50", "--out", str(out)]) == 0
-        assert ExperimentConfig.from_file(out / "config.txt").stability == 3
+        assert "--stability=3" in (out / "config.txt").read_text().splitlines()
+        assert _read_config(out / "config.txt").stability == 3
 
     @pytest.mark.parametrize("command, name, value", [
         (command, name, value) for command in COMMANDS for name, value in _unread(command)])
@@ -215,10 +223,9 @@ class TestSettingsTable:
         base = (["--image", "in.pgm"] if command == "complete"
                 else ["--m", "10", "--n", "10", "--rank", "1"])
         out = tmp_path / "o"
-        config = tmp_path / "c.txt"
-        config.write_text(f"{name} = {value}\n")
+        config = _argfile(tmp_path / "c.txt", *_argv_value(name, value))
         results = []
-        for given in (_argv_value(name, value), ["--config", str(config)]):
+        for given in (_argv_value(name, value), [config]):
             code = main([command, *base, *given, "--out", str(out)])
             results.append((code, capsys.readouterr().err))
         assert results[0] == results[1]
@@ -237,12 +244,11 @@ class TestSettingsTable:
                                                              command, given, name):
         base = (["--image", "in.pgm"] if command == "complete"
                 else ["--m", "20", "--n", "20", "--rank", "2", "--sr", "0.6"])
-        config = tmp_path / "c.txt"
-        config.write_text("".join(f"{k} = {v}\n" for k, v in given.items()))
         flags = [arg for k, v in given.items() for arg in _argv_value(k, v)]
+        config = _argfile(tmp_path / "c.txt", *flags)
         out = tmp_path / "o"
         results = []
-        for args in (flags, ["--config", str(config)]):
+        for args in (flags, [config]):
             code = main([command, *base, *args, "--out", str(out)])
             results.append((code, capsys.readouterr().err))
         assert results[0] == results[1]
@@ -263,17 +269,26 @@ class TestSettingsTable:
         assert "config field 'kappa_mode': not read, as kappa replaces it" in \
             capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["r#1", "nl\nseed = 9", "cr\rx", " lead", "trail\t"])
+    @pytest.mark.parametrize("value", ["nl\nseed = 9", "cr\rx", "trail\n"])
     @pytest.mark.parametrize("name", ["image", "mask_file", "keep_file", "out"])
-    def test_value_config_txt_cannot_hold_fails_before_any_write(
+    def test_line_break_config_txt_cannot_hold_fails_before_any_write(
             self, tmp_path, monkeypatch, capsys, name, value):
         monkeypatch.chdir(tmp_path)
         operator = "mask" if name == "mask_file" else "dct"
         code = main(["complete", "--image", "in.pgm", "--operator", operator,
                      *_argv_value(name, value)])
         assert code == 2
-        assert f"config field '{name}': config.txt cannot hold" in capsys.readouterr().err
+        assert f"config field '{name}': config.txt cannot hold a line break" in \
+            capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["r#1", " lead", "trail\t", "#"])
+    def test_hash_and_whitespace_are_kept_in_config_txt(self, tmp_path, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sve-trace", "--m", "10", "--n", "10", "--rank", "1",
+                     "--max-inner-iters", "50", f"--out={value}"]) == 0
+        assert f"--out={value}" in (tmp_path / value / "config.txt").read_text().splitlines()
+        assert _read_config(tmp_path / value / "config.txt").out == value
 
     def test_help_names_the_commands_of_partial_settings(self, capsys):
         with pytest.raises(SystemExit):
@@ -290,11 +305,10 @@ class TestSettingsTable:
     @pytest.mark.parametrize("name", [f.name for f in _SETTINGS if _kind(f.type) is float])
     def test_non_finite_float_fails_alike_from_flag_and_file(self, tmp_path, capsys,
                                                              name, value):
-        config = tmp_path / "c.txt"
-        config.write_text(f"{name} = {value}\n")
+        config = _argfile(tmp_path / "c.txt", *_argv_value(name, value))
         out = tmp_path / "o"
         results = []
-        for given in (_argv_value(name, value), ["--config", str(config)]):
+        for given in (_argv_value(name, value), [config]):
             code = main(["compare", "--m", "12", "--n", "12", "--rank", "2",
                          "--max-inner-iters", "50", *given, "--out", str(out)])
             results.append((code, capsys.readouterr().err))
@@ -305,7 +319,8 @@ class TestSettingsTable:
 
 
 def _setting_values(f):
-    """Values a field can hold; strings survive the file's strip and '#'."""
+    """Values a field can hold; strings hold no line break, which
+    config.txt cannot."""
     kind = _kind(f.type)
     if f.metadata.get("flag", {}).get("choices"):
         values = st.sampled_from(f.metadata["flag"]["choices"])
@@ -316,8 +331,7 @@ def _setting_values(f):
     elif kind is float:
         values = st.floats(allow_nan=False, allow_infinity=False)
     else:
-        values = st.text(st.characters(min_codepoint=33, max_codepoint=126,
-                                       blacklist_characters="#"), max_size=12)
+        values = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
     return values | st.none() if f.default is None else values
 
 
@@ -333,7 +347,7 @@ class TestConfigRoundTrips:
     def test_file_and_argv_give_the_same_config(self, tmp_path_factory, cfg):
         path = tmp_path_factory.mktemp("rt") / "cfg.txt"
         cfg.to_file(path)
-        assert ExperimentConfig.from_file(path) == cfg
+        assert _read_config(path) == cfg
         argv = [cfg.command]
         for f in _SETTINGS:
             value = getattr(cfg, f.name)
@@ -343,19 +357,23 @@ class TestConfigRoundTrips:
 
     @settings(max_examples=200, deadline=None)
     @given(text=st.text(max_size=8))
-    @example(text="r#1")
+    @example(text="/tmp/r#1")
+    @example(text=" lead\t")
+    @example(text="--")
+    @example(text="\0--")
     @example(text="nl\nseed = 9")
+    @example(text="trail\n")
     def test_config_txt_reads_back_every_string_validate_accepts(self, tmp_path_factory,
                                                                  text):
         cfg = ExperimentConfig(command="compare", m=10, n=10, rank=1, out=text)
         try:
             cfg.validate()
         except ValueError as e:
-            assert str(e).startswith("config field 'out': config.txt cannot hold")
+            assert str(e).startswith("config field 'out': config.txt cannot hold a line break")
             return
         path = tmp_path_factory.mktemp("rt") / "config.txt"
         cfg.to_file(path)
-        assert ExperimentConfig.from_file(path) == cfg
+        assert _read_config(path) == cfg
 
 
 class TestSmallShapesAndAdjust:
@@ -394,29 +412,27 @@ class TestSmallShapesAndAdjust:
         assert "config field 'adjust'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--adjust=--", "--adj=--"])
-    def test_adjust_dashes_fail_as_in_a_file(self, tmp_path, capsys, flag):
+    def test_adjust_dashes_fail_alike_from_flag_and_file(self, tmp_path, capsys, flag):
         # argparse hands `--adjust=--` the flag's const, W = 2; the value is
-        # the string '--', which fails as the config file's `adjust = --` does
-        config = tmp_path / "c.txt"
-        config.write_text("adjust = --\n")
+        # the string '--', which fails naming the field, on the command line
+        # and on an @FILE line alike
         out = tmp_path / "o"
         argv = ["compare", "--m", "10", "--n", "10", "--rank", "1", "--out", str(out)]
         errors = []
-        for given in (["--config", str(config)], [flag]):
+        for given in ([_argfile(tmp_path / "c.txt", flag)], [flag]):
             assert main(argv + given) == 2
             errors.append(capsys.readouterr().err)
             assert not out.exists()
         reason = "field 'adjust': invalid literal for int() with base 10: '--'\n"
-        assert errors[0].endswith(reason)
-        assert errors[1] == "error: config " + reason
+        assert errors == ["error: config " + reason] * 2
         # the flag alone still means W = 2
         assert _config_from_args(_parse_args(argv + ["--adjust"])).adjust == 2
 
 
 class TestArgvValues:
-    """A flag's value is read as a config file's value is: '--' given as
-    `--name=--` is the value '--', and a malformed value fails naming its
-    field, from either source."""
+    """A flag's value is read alike on the command line and on an @FILE
+    line: '--' given as `--name=--` is the value '--', and a malformed value
+    fails naming its field."""
 
     def test_plot_data_out_dashes_is_a_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -425,14 +441,20 @@ class TestArgvValues:
         assert read_csv(tmp_path / "--" / "reer_vs_std.csv") == [
             {"std": "0.1", "method": "lr", "median_reer": "0.25"}]
 
-    def test_config_dashes_reads_the_file(self, tmp_path, monkeypatch, capsys):
+    def test_out_dashes_from_flag_and_file(self, tmp_path):
+        argv = ["compare", "--out=--"]
+        assert _config_from_args(_parse_args(argv)).out == "--"
+        assert _read_config(_argfile(tmp_path / "c.txt", *argv)[1:]).out == "--"
+
+    def test_at_dashes_reads_the_file_named_dashes(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "--").write_text("m = 7\n")
-        assert _config_from_args(_parse_args(["compare", "--config=--"])).m == 7
-        (tmp_path / "--").write_text("command = dct-synth\n")
-        assert main(["compare", "--config=--", "--m", "10", "--n", "10", "--rank", "1",
-                     "--out", "o"]) == 2
-        assert "config file command 'dct-synth' conflicts" in capsys.readouterr().err
+        (tmp_path / "--").write_text("--m=7\n")
+        assert _config_from_args(_parse_args(["compare", "@--"])).m == 7
+        # a second command token, from a file or not, exits 2
+        (tmp_path / "--").write_text("dct-synth\n")
+        with pytest.raises(SystemExit, match="2"):
+            main(["compare", "@--", "--m", "10", "--n", "10", "--rank", "1", "--out", "o"])
+        assert "unrecognized arguments: dct-synth" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name, value, reason", [
@@ -441,25 +463,22 @@ class TestArgvValues:
     ])
     def test_malformed_value_fails_alike_from_flag_and_file(self, tmp_path, capsys,
                                                             name, value, reason):
-        config = tmp_path / "c.txt"
-        config.write_text(f"{name} = {value}\n")
+        config = _argfile(tmp_path / "c.txt", f"--{name}={value}")
         out = tmp_path / "o"
         errors = []
-        for given in ([f"--{name}={value}"], ["--config", str(config)]):
+        for given in ([f"--{name}={value}"], [config]):
             assert main(["compare", "--m", "10", "--n", "10", "--rank", "1", *given,
                          "--out", str(out)]) == 2
             errors.append(capsys.readouterr().err)
             assert not out.exists()
-        assert errors[0] == f"error: config field '{name}': {reason}\n"
-        assert errors[1] == f"error: config file {config} line 1, field '{name}': {reason}\n"
+        assert errors == [f"error: config field '{name}': {reason}\n"] * 2
 
     @pytest.mark.parametrize("name", ["operator", "solver", "kappa_mode"])
     def test_bad_choice_fails_alike_from_flag_and_file(self, tmp_path, capsys, name):
-        config = tmp_path / "c.txt"
-        config.write_text(f"{name} = foo\n")
+        config = _argfile(tmp_path / "c.txt", *_argv_value(name, "foo"))
         out = tmp_path / "o"
         results = []
-        for given in (_argv_value(name, "foo"), ["--config", str(config)]):
+        for given in (_argv_value(name, "foo"), [config]):
             code = main(["compare", "--m", "10", "--n", "10", "--rank", "1", *given,
                          "--out", str(out)])
             results.append((code, capsys.readouterr().err))
@@ -468,10 +487,23 @@ class TestArgvValues:
         assert f"config field '{name}': must be one of" in results[0][1]
         assert not out.exists()
 
-    def test_only_a_whole_dashes_value_is_replaced(self):
+    def test_only_a_whole_dashes_value_is_replaced(self, tmp_path):
         assert _config_from_args(_parse_args(["compare", "--out=x=--"])).out == "x=--"
+        assert _read_config(_argfile(tmp_path / "c.txt", "compare", "--out=x=--")[1:]).out \
+            == "x=--"
         args = _parse_args(["plot-data", "--out=x=--", "--", "-f=--"])
         assert args.out == "x=--" and args.files == ["-f=--"]
+
+    def test_arguments_after_a_bare_dashes_are_not_expanded(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _argfile(tmp_path / "f", "m.csv")
+        assert _parse_args(["plot-data", "@f", "--", "@f"]).files == ["m.csv", "@f"]
+        # a file's '--' line ends the options as a given one does
+        _argfile(tmp_path / "h", "--", "-g=--")
+        assert _parse_args(["plot-data", "@h"]).files == ["-g=--"]
+        # an @FILE's own lines are not expanded again
+        _argfile(tmp_path / "g", "plot-data", "@f")
+        assert _parse_args(["@g"]).files == ["@f"]
 
 
 class TestAdjustSweep:
@@ -517,23 +549,22 @@ class TestOperatorFieldsOutsideTheirUse:
     """Operator files outside `complete`, and keep_dc with the mask operator,
     fail before any solve instead of being ignored."""
 
-    def test_config_file_mask_file_in_compare(self, tmp_path, capsys):
+    def test_argv_file_mask_file_in_compare(self, tmp_path, capsys):
         from tnnr.operators import SamplingMask
 
         SamplingMask.random(3, 3, 0.5, 0).to_file(tmp_path / "mask.txt")
-        config = tmp_path / "c.txt"
-        config.write_text(f"operator = mask\nmask_file = {tmp_path / 'mask.txt'}\n")
+        config = _argfile(tmp_path / "c.txt", "--operator=mask",
+                          f"--mask-file={tmp_path / 'mask.txt'}")
         out = tmp_path / "o"
-        code = main(["compare", "--config", str(config), "--m", "20", "--n", "20",
+        code = main(["compare", config, "--m", "20", "--n", "20",
                      "--rank", "2", "--out", str(out)])
         assert code == 2
         assert "config field 'mask_file'" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
-    def test_config_file_keep_file_in_dct_synth(self, tmp_path, capsys):
-        config = tmp_path / "c.txt"
-        config.write_text(f"keep_file = {tmp_path / 'missing.txt'}\n")
-        code = main(["dct-synth", "--config", str(config), "--m", "10", "--n", "10",
+    def test_argv_file_keep_file_in_dct_synth(self, tmp_path, capsys):
+        config = _argfile(tmp_path / "c.txt", f"--keep-file={tmp_path / 'missing.txt'}")
+        code = main(["dct-synth", config, "--m", "10", "--n", "10",
                      "--rank", "1", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config field 'keep_file'" in capsys.readouterr().err
@@ -542,12 +573,10 @@ class TestOperatorFieldsOutsideTheirUse:
         ("mask_file", "m.txt", "dct"), ("keep_file", "k.txt", "mask"), ("keep_dc", True, "mask")])
     def test_setting_the_operator_does_not_read_fails_alike_from_flag_and_file(
             self, tmp_path, capsys, name, value, operator):
-        config = tmp_path / "c.txt"
-        config.write_text(f"operator = {operator}\n{name} = {value}\n")
+        flags = ["--operator", operator, *_argv_value(name, value)]
         out = tmp_path / "o"
         results = []
-        for given in (["--operator", operator, *_argv_value(name, value)],
-                      ["--config", str(config)]):
+        for given in (flags, [_argfile(tmp_path / "c.txt", *flags)]):
             code = main(["complete", "--image", "in.pgm", *given, "--out", str(out)])
             results.append((code, capsys.readouterr().err))
         assert results[0] == results[1]
@@ -598,9 +627,9 @@ class TestSolverSettingsOutsideTheirUse:
 
     @pytest.mark.parametrize("via_file", [False, True])
     def test_apgl_rejects_a_ball_radius(self, tmp_path, capsys, via_file):
-        config = tmp_path / "c.txt"
-        config.write_text("solver = apgl\ndelta = 50\n")
-        given = ["--config", str(config)] if via_file else ["--solver", "apgl", "--delta", "50"]
+        given = ["--solver", "apgl", "--delta", "50"]
+        if via_file:
+            given = [_argfile(tmp_path / "c.txt", *given)]
         out = tmp_path / "o"
         assert main(["compare", *given, *self.SMALL, "--out", str(out)]) == 2
         assert "config field 'delta'" in capsys.readouterr().err
@@ -611,12 +640,10 @@ class TestSolverSettingsOutsideTheirUse:
         ("admmap", "mu", 7.0)])
     def test_setting_the_solver_does_not_read_fails_alike_from_flag_and_file(
             self, tmp_path, capsys, solver, name, value):
-        config = tmp_path / "c.txt"
-        config.write_text(f"solver = {solver}\n{name} = {value}\n")
+        flags = ["--solver", solver, *_argv_value(name, value)]
         out = tmp_path / "o"
         results = []
-        for given in (["--solver", solver, *_argv_value(name, value)],
-                      ["--config", str(config)]):
+        for given in (flags, [_argfile(tmp_path / "c.txt", *flags)]):
             code = main(["compare", *given, *self.SMALL, "--out", str(out)])
             results.append((code, capsys.readouterr().err))
         assert results[0] == results[1]
@@ -674,9 +701,8 @@ class TestCompareCommand:
         assert {"seed", "method", "stage", "l", "k", "objective", "residual", "beta"} <= set(trace[0])
 
     def test_rerun_is_byte_identical(self, compare_out, tmp_path):
-        cfg = ExperimentConfig.from_file(compare_out / "config.txt")
-        cfg.out = str(tmp_path / "again")
-        assert run(cfg) == 0
+        assert main(["@" + str(compare_out / "config.txt"),
+                     "--out", str(tmp_path / "again")]) == 0
         for name in ("metrics.csv", "trace.csv", "sve.csv", "summary.csv"):
             assert (compare_out / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
@@ -1124,22 +1150,22 @@ class TestMainEntry:
         assert code == 0
         assert (out / "metrics.csv").exists()
 
-    def test_config_file_with_override(self, tmp_path):
+    def test_argv_file_with_override(self, tmp_path):
         base = tmp_path / "base.txt"
         ExperimentConfig(command="compare", operator="dct", m=20, n=20, rank=2,
-                         sr=0.6, std=0.2, trials=1).to_file(base)
+                         sr=0.6, std=0.2, trials=1, seed=4).to_file(base)
         out = tmp_path / "ovr"
-        code = main(["compare", "--config", str(base), "--out", str(out), "--seed", "9"])
+        code = main(["@" + str(base), "--out", str(out), "--seed", "9"])
         assert code == 0
-        resolved = ExperimentConfig.from_file(out / "config.txt")
+        resolved = _read_config(out / "config.txt")
         assert resolved.seed == 9 and resolved.m == 20
 
-    def test_command_conflict_detected(self, tmp_path, capsys):
+    def test_second_command_token_exits_2(self, tmp_path, capsys):
         base = tmp_path / "base.txt"
         ExperimentConfig(command="compare", m=20, n=20, rank=2).to_file(base)
-        code = main(["sve-trace", "--config", str(base)])
-        assert code == 2
-        assert "conflict" in capsys.readouterr().err
+        with pytest.raises(SystemExit, match="2"):
+            main(["sve-trace", "@" + str(base)])
+        assert "unrecognized arguments: compare" in capsys.readouterr().err
 
     def test_solver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from tnnr.solvers import SolverDivergence, StageTrace

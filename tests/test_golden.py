@@ -2,6 +2,8 @@
 committed next to it. Integers and strings must match exactly; a float must
 lie within 1e-9 of its column's largest magnitude, since BLAS builds and
 thread counts round differently. Other files must match byte for byte.
+Each run that writes a config.txt must also give the same files when re-run
+from it, as `tnnr @config.txt --out DIR`.
 After a change that moves results on purpose, rewrite the runs it moves with
 `PYTHONPATH=src python tests/golden/regen.py NAME...`."""
 
@@ -44,9 +46,7 @@ def _assert_csv_close(want_text, got_text, where):
                     f"{where} line {i}, {want[0][j]}: {gc} != {wc}")
 
 
-@pytest.mark.parametrize("name", list(CONFIGS))
-def test_outputs_match_the_goldens(name):
-    got = outputs(name)
+def _assert_matches_the_goldens(name, got):
     committed = sorted(p.name for p in (GOLDEN / name).iterdir())
     assert sorted(got) == committed
     for filename in committed:
@@ -55,6 +55,18 @@ def test_outputs_match_the_goldens(name):
             _assert_csv_close(want, got[filename], f"{name}/{filename}")
         else:
             assert got[filename] == want, f"{name}/{filename}"
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_outputs_match_the_goldens(name):
+    _assert_matches_the_goldens(name, outputs(name))
+
+
+@pytest.mark.parametrize("name", [name for name in CONFIGS
+                                  if (GOLDEN / name / "config.txt").exists()])
+def test_config_txt_reruns_its_golden(name):
+    # `tnnr @DIR/config.txt --out OTHER` makes the same files, config.txt included
+    _assert_matches_the_goldens(name, outputs(name, rerun=True))
 
 
 def test_regen_rejects_an_unknown_name_before_writing(monkeypatch, tmp_path):
