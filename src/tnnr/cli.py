@@ -3,9 +3,9 @@ estimation traces, and baseline-vs-multistage comparisons.
 
 `ExperimentConfig`'s fields are the one table of settings: each declares its
 default, its flag's help and options, and the commands, inner solvers and
-operators that read it. Each is a flag of every experiment command, and
-`_coerce` parses its value. `validate()` checks every field before a run
-writes anything.
+operators that read it. Each is a flag of every experiment command, whose
+value `_config_from_args` types as its field's. `validate()` checks every
+field before a run writes anything.
 
 Every run writes its resolved configuration as `config.txt`, an argument
 file that `tnnr @DIR/config.txt [flags]` re-runs through the same parser,
@@ -218,17 +218,6 @@ def _flag(name: str) -> str:
 def _kind(annotation):
     """A field's value type: int, float, bool or str, from an optional `| None`."""
     return next((t for t in typing.get_args(annotation) if t is not type(None)), annotation)
-
-
-def _coerce(kind, value: str):
-    """Parse a flag's value as its field's type."""
-    if kind is bool:
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {value!r}")
-    return kind(value)
 
 
 # every field but `command`, which names the subcommand itself
@@ -613,8 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
             for chooser, every in _READERS.items():
                 if len(f.metadata[chooser]) < len(every):
                     help += f"; read by {', '.join(f.metadata[chooser])} only"
-            # values stay strings, parsed by _coerce and checked by validate()
-            options = ({"action": "store_const", "const": "true"} if _kind(f.type) is bool
+            # values stay strings (a bool flag stores True), typed by
+            # _config_from_args and checked by validate()
+            options = ({"action": "store_true", "default": None} if _kind(f.type) is bool
                        else dict(f.metadata["flag"]))
             if choices := options.pop("choices", None):
                 options["metavar"] = "{" + ",".join(choices) + "}"
@@ -627,12 +617,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """The config of the command and flags given, each value parsed by _coerce."""
+    """The config of the command and flags given, each value typed as its
+    field's; a malformed one, int('x') say, is a ValueError naming the field."""
     given = {}
     for f in _SETTINGS:
         if (value := getattr(args, f.name)) is not None:
             try:
-                given[f.name] = _coerce(_kind(f.type), value)
+                given[f.name] = _kind(f.type)(value)
             except ValueError as e:
                 raise ValueError(f"config field '{f.name}': {e}") from None
     return ExperimentConfig(command=args.command, **given)
@@ -645,27 +636,31 @@ _DASHES = "\0\n--"
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv), where an @FILE argument stands for
+    """build_parser().parse_args(argv), read in one pass up to the first bare
+    '--', given or on an @FILE's line. Before it, an @FILE argument stands for
     FILE's lines, one argument each (not expanded again), and `--name=--` (a
     prefix of the flag included, as argparse takes it) gives the option the
-    value '--'. The arguments after a bare '--' are positional, kept as given."""
+    value '--'. The arguments after it, a file's later lines and the command
+    line's, are positional, kept as given. An unreadable FILE, or a blank
+    line in one, exits 2."""
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    end = argv.index("--") if "--" in argv else len(argv)
+    given = iter(sys.argv[1:] if argv is None else argv)
     tokens = []
-    for token in argv[:end]:
+    for token in given:
         try:
-            tokens += Path(token[1:]).read_text().splitlines() if token[:1] == "@" else [token]
+            lines = Path(token[1:]).read_text().splitlines() if token[:1] == "@" else [token]
         except OSError as e:
             parser.error(str(e))
-    argv = tokens + argv[end:]
-    for i, token in enumerate(argv):
-        if token == "--":
-            break
-        name, _, value = token.partition("=")
-        if name.startswith("-") and value == "--":
-            argv[i] = f"{name}={_DASHES}"
-    args = parser.parse_args(argv)
+        if token[:1] == "@" and "" in lines:
+            parser.error(f"{token[1:]}: line {lines.index('') + 1} is blank")
+        lines = iter(lines)
+        for line in lines:
+            if line == "--":
+                tokens += [line, *lines, *given]
+                break
+            name, _, value = line.partition("=")
+            tokens.append(f"{name}={_DASHES}" if name.startswith("-") and value == "--" else line)
+    args = parser.parse_args(tokens)
     for name, value in vars(args).items():
         if value == _DASHES:
             setattr(args, name, "--")

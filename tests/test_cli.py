@@ -111,6 +111,7 @@ class TestExperimentConfig:
         (None, r"\[Errno 2\] No such file or directory: '.*missing.txt'"),
         ("--seed 3\n", "unrecognized arguments: --seed 3"),
         ("--keep-dc=maybe\n", "argument --keep-dc: ignored explicit argument 'maybe'"),
+        ("--m=10\n--n=10\n\n", r".*c\.txt: line 3 is blank"),
     ])
     def test_argv_file_rejection_names_its_error(self, tmp_path, capsys, text, message):
         path = tmp_path / ("missing.txt" if text is None else "c.txt")
@@ -501,6 +502,7 @@ class TestArgvValues:
         # a file's '--' line ends the options as a given one does
         _argfile(tmp_path / "h", "--", "-g=--")
         assert _parse_args(["plot-data", "@h"]).files == ["-g=--"]
+        assert _parse_args(["plot-data", "@h", "@f"]).files == ["-g=--", "@f"]
         # an @FILE's own lines are not expanded again
         _argfile(tmp_path / "g", "plot-data", "@f")
         assert _parse_args(["@g"]).files == ["@f"]

@@ -612,11 +612,20 @@ class TestLrisd:
         assert [profile for _, _, profile in lrisd_stages(a, b)] == [None]
 
     @pytest.mark.parametrize("inner", ["admm", "apgl", "admmap"])
-    def test_rank_zero_reports_capped_solve(self, inner):
-        _, a, b = instance(12, 12, 2, 0.7, 0.0, 16)
-        _, trace = solve_with_rank(a, b, 0, inner, SolverConfig(max_inner_iters=1))
-        assert trace.total_inner_iters == 1
-        assert trace.converged is False
+    @pytest.mark.parametrize("kind", ["mask", "dct"])
+    @pytest.mark.parametrize("cap", [1, 5000])
+    def test_rank_zero_is_one_inner_solve(self, inner, kind, cap):
+        # r = 0 runs the refit loop once, with the empty pair, on the
+        # operator's slots in the coefficients of its transform
+        _, a, b = instance(12, 12, 2, 0.7, 0.0, 16, kind=kind)
+        cfg = SolverConfig(max_inner_iters=cap)
+        x, trace = solve_with_rank(a, b, 0, inner, cfg)
+        x_inner, t = SOLVERS[inner][0](a.sampling, b, TruncationPair.empty(12, 12), cfg)
+        assert x.tobytes() == a.inverse(x_inner).tobytes()
+        assert list(trace.rows()) == list(t.rows())
+        assert trace.inner_iters == t.inner_iters and len(trace.l_change) == 1
+        assert (trace.total_inner_iters == 1) == (cap == 1)
+        assert trace.converged is t.converged is (cap > 1)
 
     @pytest.mark.parametrize("inner", ["admm", "apgl", "admmap"])
     def test_capped_refits_do_not_report_convergence(self, inner):

@@ -27,3 +27,6 @@ def test_tracer_counts_every_layer(tmp_path, monkeypatch):
     # the inner-solve hook reads the truncation pair as the third argument
     assert tracer.counts["inner_solves"] == tracer.calls["solvers.inner"]
     assert tracer.counts["refits"] > 0
+    # every refit at r > 0 takes one truncation pair; a rank-0 stage takes
+    # the empty pair without one
+    assert tracer.calls["linalg.pair"] == tracer.counts["refits"]
